@@ -1,0 +1,121 @@
+"""Golden CLI outputs: every command below must reproduce its recorded bytes.
+
+``tests/golden/manifest.json`` holds, per command, its arguments, the name
+of its ``--out`` file under ``tests/golden/``, its standard output (with the
+output path written as ``{out}``) and its exit code.  Refactors must keep
+all of them byte for byte; an intended change of output is re-recorded with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and every changed file is named in CHANGES.md.
+"""
+
+import io
+import json
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from capmodel.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = GOLDEN / "manifest.json"
+BUDGET_S = 2.0
+
+COMMANDS = [
+    # the C10 determinism list
+    ["eval", "--rho", "0.5", "--r", "30", "--n", "40", "--backend", "both"],
+    ["trajectory", "--rho", "0.5", "--r", "6", "--n-max", "30"],
+    ["trajectory", "--rho", "0.5", "--r", "6", "--n-max", "30", "--format", "json"],
+    ["sweep", "--rho", "0.5", "--r-values", "2,4,8", "--n-max", "20"],
+    ["hump", "--rho", "0.5", "--r", "5", "--format", "json"],
+    ["oracle", "--n", "10", "--rho", "0.5", "--trials", "100", "--seed", "7"],
+    ["validate", "--rho", "0.5", "--r", "10", "--n-max", "50"],
+    ["figures", "--id", "2"],
+    # every command in both formats, every backend
+    ["eval", "--rho", "0.5", "--r", "30", "--n", "40", "--backend", "both", "--format", "json"],
+    ["eval", "--rho", "3/4", "--r", "20", "--n", "70"],
+    ["eval", "--rho", "3/4", "--r", "20", "--n", "70", "--backend", "logfloat"],
+    ["eval", "--rho", "2/3", "--n", "25", "--backend", "logfloat", "--format", "json"],
+    ["eval", "--rho", "1/10", "--r", "400", "--n", "3000", "--backend", "logfloat"],
+    ["eval", "--rho", "1/2", "--r", "7", "--n", "7", "--format", "json"],
+    ["eval", "--rho", "1", "--n", "0"],
+    ["trajectory", "--rho", "1/2", "--r", "100", "--n-max", "300"],
+    ["trajectory", "--rho", "1/2", "--r", "100", "--n-max", "300", "--backend", "logfloat"],
+    ["trajectory", "--rho", "3/4", "--r", "12", "--n-max", "60", "--backend", "both", "--format", "json"],
+    ["trajectory", "--rho", "3/4", "--r", "12", "--n-max", "60", "--backend", "logfloat", "--format", "json"],
+    ["trajectory", "--rho", "1", "--n-max", "20", "--format", "json"],
+    ["trajectory", "--rho", "1/3", "--r", "0", "--n-max", "12", "--backend", "both"],
+    # a log trajectory that falls through the subnormal doubles and below
+    ["trajectory", "--rho", "1/10", "--r", "5", "--n-max", "340", "--backend", "logfloat"],
+    ["sweep", "--rho", "3/4", "--r-values", "3,6,12", "--n-max", "40", "--format", "json"],
+    ["sweep", "--rho", "1/2", "--r-values", "9,4", "--n-max", "60", "--backend", "logfloat"],
+    ["sweep", "--rho", "1", "--r-values", "2,5", "--n-max", "15", "--backend", "logfloat", "--format", "json"],
+    ["hump", "--rho", "1/2", "--r", "30", "--format", "csv"],
+    ["hump", "--rho", "1", "--r", "4", "--n-max", "100"],
+    ["hump", "--rho", "9/10", "--r", "0", "--n-max", "1", "--format", "csv"],
+    ["oracle", "--n", "8", "--rho", "3/4", "--r", "5", "--trials", "60", "--seed", "3",
+     "--mode", "per-subset", "--format", "json"],
+    ["oracle", "--n", "9", "--rho", "1/2", "--trials", "50", "--seed", "1", "--z-max", "0.01"],
+    ["validate", "--rho", "3/4", "--r", "20", "--n-max", "80", "--format", "json"],
+    ["validate", "--rho", "1/2", "--r", "10", "--n-max", "30", "--tol", "1e-300"],
+    ["figures", "--id", "1"],
+    ["figures", "--id", "1", "--format", "json"],
+    ["figures", "--id", "2", "--format", "json"],
+    ["figures", "--id", "3"],
+    ["figures", "--id", "3", "--format", "json"],
+    ["figures", "--id", "3", "--n-max", "40"],
+]
+
+
+def _extension(args):
+    fmt = dict(zip(args[1::2], args[2::2])).get("--format")
+    return fmt or ("json" if args[0] == "hump" else "csv")
+
+
+def _name(index, args):
+    return f"{index:02d}-{args[0]}.{_extension(args)}"
+
+
+def _run(args, out_path: Path) -> tuple[int, str]:
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main([*args, "--out", str(out_path)])
+    return code, buffer.getvalue().replace(str(out_path), "{out}")
+
+
+def write_golden() -> None:
+    """Record every command's output file, stdout and exit code."""
+    GOLDEN.mkdir(exist_ok=True)
+    entries = []
+    for index, args in enumerate(COMMANDS):
+        name = _name(index, args)
+        code, stdout = _run(args, GOLDEN / name)
+        entries.append({"args": args, "file": name, "stdout": stdout, "exit": code})
+    MANIFEST.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+
+
+def _entries():
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def test_manifest_covers_the_command_list():
+    assert [entry["args"] for entry in _entries()] == COMMANDS
+
+
+def test_golden_outputs_reproduce_byte_for_byte(tmp_path):
+    started = time.perf_counter()
+    for entry in _entries():
+        out_path = tmp_path / entry["file"]
+        code, stdout = _run(entry["args"], out_path)
+        assert (code, stdout) == (entry["exit"], entry["stdout"]), entry["args"]
+        expected = (GOLDEN / entry["file"]).read_bytes()
+        assert out_path.read_bytes() == expected, entry["args"]
+    elapsed = time.perf_counter() - started
+    assert elapsed < BUDGET_S, f"golden commands took {elapsed:.2f}s, budget {BUDGET_S}s"
+
+
+if __name__ == "__main__":
+    write_golden()
