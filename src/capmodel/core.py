@@ -23,24 +23,30 @@ classified from the same quantities: *developing* while the range does not
 bind (r >= n), *transitioning* while it binds but variety still grows, and
 *developed* once variety falls.
 
-Two interchangeable arithmetic backends are provided.  The exact backend
-(`fractions.Fraction`, integer window sums) makes every identity above hold
-with zero tolerance and is the reference for ``n`` up to a thousand or so.
-The log-domain backend (`LogScalar`, lgamma-based window sums) trades
-exactness for constant-size numbers and is intended for large ``n`` and fast
-sweeps; `cross_validate` measures its deviation from the exact backend.
+Every quantity at ``n`` is read off the window sums at ``n - 1``, ``n`` and
+``n + 1`` of one sequence per ``(rho, r)``.  With ``rho = p/q``, the exact
+backend walks the integers ``N_n = q**n * variety(n, r)``: multiplying the
+step identity above by ``q**(n+1)`` gives
 
-All functions are pure and safe to call concurrently; the only shared state
-is an internal memo table of integer window sums.
+    N_{n+1} = (p + q) * N_n - [n >= r] * C(n, r) * p**(n-r) * q**(r+1)
+
+started from the closed form ``(p + q)**min(n, r)``, so each step is one
+big-integer multiply-subtract and every identity holds with zero tolerance.
+The log-domain backend (`LogScalar`) computes each window sum directly from
+``lgamma`` instead: run in floating point, the recurrence cancels once the
+hump has passed.  It trades exactness for constant-size numbers and is meant
+for large ``n`` and fast sweeps; `cross_validate` measures its deviation
+from the exact backend.
+
+All functions are pure and share no state: each call walks its own sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
 from .scalars import LogScalar, Rational, as_rational
@@ -79,18 +85,6 @@ def _check_count(n: int, name: str = "n") -> None:
         raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
 
 
-def _check_range(r: Range) -> None:
-    if r is UNBOUNDED:
-        return
-    if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-        raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise DomainError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: viability probability, product range, backend."""
@@ -101,8 +95,11 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", checked_rho(self.rho))
-        _check_range(self.r)
-        _check_backend(self.backend)
+        r = self.r
+        if r is not UNBOUNDED and (not isinstance(r, int) or isinstance(r, bool) or r < 0):
+            raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
+        if self.backend not in BACKENDS:
+            raise DomainError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
 
 def binomial(n: int, s: int) -> int:
@@ -111,29 +108,6 @@ def binomial(n: int, s: int) -> int:
     if s < 0 or s > n:
         return 0
     return math.comb(n, s)
-
-
-@lru_cache(maxsize=128)
-def _window_table(n: int, p: int, q: int) -> tuple[int, ...]:
-    """Suffix sums of scaled window terms for rho = p/q.
-
-    Entry ``j`` is ``sum_{s = n-j}^{n} C(n, s) p**s q**(n-s)``, i.e. the
-    numerator of ``variety(n, r=j)`` over the common denominator ``q**n``.
-    Built with an integer-exact multiplicative recurrence, one pass per n.
-    """
-    term = p**n
-    acc = term
-    out = [acc]
-    for s in range(n, 0, -1):
-        # C(n, s-1) p^(s-1) q^(n-s+1) from the term for s; both divisions exact
-        term = term * s * q // ((n - s + 1) * p)
-        acc += term
-        out.append(acc)
-    return tuple(out)
-
-
-def _log_binomial(n: int, s: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
 
 
 def _log_window_sum(n: int, width: int, log_rho: float) -> float:
@@ -147,25 +121,122 @@ def _log_window_sum(n: int, width: int, log_rho: float) -> float:
     return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
 
+class _WindowSums:
+    """The window sums of one `ModelParams`, read at increasing ``n``.
+
+    ``term(k)`` is ``N_k`` (exact) or ``log variety(k, r)`` (log backend, read
+    only for ``k >= r``, where no closed form applies).  Each term is computed
+    once and the latest three are kept: the ``n - 1 .. n + 1`` a point reads.
+    Reading further back restarts the walk.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.params, self.r, self.exact = params, params.r, params.backend == EXACT
+        self.p, self.q = p, q = params.rho.numerator, params.rho.denominator
+        self.log_rho = math.log(p) - math.log(q)
+        self._terms: dict[int, int | float] = {}
+        self._k = -1  # the exact walk stands at (k, N_k, subtracted term of step k)
+        self._n = self._b = 0
+
+    def binds(self, n: int) -> bool:
+        return self.r is not UNBOUNDED and self.r < n
+
+    def term(self, k: int) -> int | float:
+        if k not in self._terms:
+            if self.exact:
+                self._walk_to(k)
+            else:
+                self._terms[k] = _log_window_sum(k, self.r, self.log_rho)
+            self._terms = {j: t for j, t in self._terms.items() if j >= k - 2}
+        return self._terms[k]
+
+    def _walk_to(self, k: int) -> None:
+        p, q, r = self.p, self.q, self.r
+        s, j = p + q, self._k
+        if not 0 <= j <= k:
+            j = k if r is UNBOUNDED else min(k, r)
+            self._n, self._b = s**j, q ** (r + 1) if j == r else 0
+        n_j, b_j = self._n, self._b
+        if r is not UNBOUNDED and r <= j < k - 3:
+            # the bulk of a long walk, without bookkeeping: step t multiplies
+            # the subtracted term by p*t / (t - r)
+            for grow, since in zip(range(p * (j + 1), p * (k - 2), p), range(j + 1 - r, k - 2 - r)):
+                n_j = s * n_j - b_j
+                b_j = b_j * grow // since
+            j = k - 3
+        self._terms[j] = n_j
+        while j < k:
+            n_j = s * n_j - b_j
+            j += 1
+            if j == r:
+                b_j = q ** (r + 1)
+            elif b_j:
+                b_j = b_j * (p * j) // (j - r)
+            self._terms[j] = n_j
+        self._k, self._n, self._b = j, n_j, b_j
+
+    def variety(self, n: int) -> Scalar:
+        if self.exact:
+            return Fraction(self.term(n), self.q**n)
+        if self.binds(n):
+            return LogScalar.from_log(self.term(n))
+        return LogScalar.from_log(n * math.log1p(self.p / self.q))
+
+    def avg_length(self, n: int) -> Scalar:
+        p, q = self.p, self.q
+        if n == 0:
+            return Fraction(0) if self.exact else LogScalar.zero()
+        if self.exact:  # common powers of q cancel between the two window sums
+            previous = self.term(n - 1)
+            return Fraction(n * p * previous, self.term(n))
+        if not self.binds(n):
+            return LogScalar.from_float(n * p / (p + q))
+        previous = self.term(n - 1)
+        return LogScalar.from_log(math.log(n) + self.log_rho + previous - self.term(n))
+
+    def delta(self, n: int) -> Scalar:
+        p, q = self.p, self.q
+        if self.exact:
+            current = self.term(n)
+            return Fraction(self.term(n + 1) - q * current, q ** (n + 1))
+        if not self.binds(n + 1):
+            return LogScalar.from_log(math.log(p) - math.log(q) + n * math.log1p(p / q))
+        current = self.variety(n)
+        return self.variety(n + 1) - current
+
+    def hump(self, n: int) -> bool:
+        r = self.r
+        if not self.binds(n):
+            return False
+        if self.exact:
+            current = self.term(n)
+            return self.term(n + 1) < self.q * current
+        lhs = self.term(n)
+        lg = math.lgamma
+        rhs = lg(n + 1) - lg(r + 1) - lg(n - r + 1) + (n - r - 1) * self.log_rho
+        if abs(lhs - rhs) <= HUMP_DEFER_RTOL * max(1.0, abs(lhs), abs(rhs)):
+            return _WindowSums(replace(self.params, backend=EXACT)).hump(n)
+        return lhs < rhs
+
+    def stage(self, n: int) -> Stage:
+        if not self.binds(n):
+            return Stage.DEVELOPING
+        return Stage.DEVELOPED if self.hump(n) else Stage.TRANSITIONING
+
+
+def _window_sums(n: int, params: ModelParams, name: str = "n") -> _WindowSums:
+    """Check the last ``n`` a caller reads and open the window sums of ``params``."""
+    _check_count(n, name)
+    return _WindowSums(params)
+
+
 def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
     """Expected number of viable products for ``n`` capabilities.
 
     Unconstrained (``r`` is UNBOUNDED or ``r >= n``) this is
     ``(1 + rho) ** n``; a binding range keeps only lengths in ``[n - r, n]``.
     """
-    _check_count(n)
-    _check_range(r)
-    _check_backend(backend)
-    rho = checked_rho(rho)
-    p, q = rho.numerator, rho.denominator
-    if backend == EXACT:
-        if r is UNBOUNDED or r >= n:
-            return Fraction((p + q) ** n, q**n)
-        return Fraction(_window_table(n, p, q)[r], q**n)
-    if r is UNBOUNDED or r >= n:
-        return LogScalar.from_log(n * math.log1p(p / q))
-    log_rho = math.log(p) - math.log(q)
-    return LogScalar.from_log(_log_window_sum(n, r, log_rho))
+    return _window_sums(n, ModelParams(rho, r, backend)).variety(n)
 
 
 def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -175,50 +246,12 @@ def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT
     ratio form ``n * rho * variety(n-1, r) / variety(n, r)``, which equals
     the length-weighted mean over the allowed window.
     """
-    _check_count(n)
-    _check_range(r)
-    _check_backend(backend)
-    rho = checked_rho(rho)
-    if n == 0:
-        return Fraction(0) if backend == EXACT else LogScalar.zero()
-    p, q = rho.numerator, rho.denominator
-    if backend == EXACT:
-        if r is UNBOUNDED or r >= n:
-            return Fraction(p * n, p + q)
-        # common powers of q cancel between the two window sums
-        return Fraction(n * p * _window_table(n - 1, p, q)[r], _window_table(n, p, q)[r])
-    if r is UNBOUNDED or r >= n:
-        return LogScalar.from_float(n * p / (p + q))
-    log_rho = math.log(p) - math.log(q)
-    log_prev = _log_window_sum(n - 1, r, log_rho)
-    log_cur = _log_window_sum(n, r, log_rho)
-    return LogScalar.from_log(math.log(n) + log_rho + log_prev - log_cur)
+    return _window_sums(n, ModelParams(rho, r, backend)).avg_length(n)
 
 
 def variety_delta(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
     """One growth step of variety, ``variety(n+1, r) - variety(n, r)`` (signed)."""
-    _check_count(n)
-    _check_range(r)
-    _check_backend(backend)
-    rho = checked_rho(rho)
-    p, q = rho.numerator, rho.denominator
-    if backend == EXACT:
-        if r is UNBOUNDED or r >= n + 1:
-            return Fraction(p * (p + q) ** n, q ** (n + 1))
-        t_next = _window_table(n + 1, p, q)[r]
-        t_cur = _window_table(n, p, q)[min(r, n)]
-        return Fraction(t_next - q * t_cur, q ** (n + 1))
-    if r is UNBOUNDED or r >= n + 1:
-        return LogScalar.from_log(math.log(p) - math.log(q) + n * math.log1p(p / q))
-    nxt = variety(n + 1, rho, r, LOGFLOAT)
-    cur = variety(n, rho, r, LOGFLOAT)
-    assert isinstance(nxt, LogScalar) and isinstance(cur, LogScalar)
-    return nxt - cur
-
-
-def _hump_exact(n: int, rho: Fraction, r: int) -> bool:
-    lhs = variety(n, rho, r)
-    return lhs < binomial(n, r) * rho ** (n - r - 1)
+    return _window_sums(n, ModelParams(rho, r, backend)).delta(n)
 
 
 def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> bool:
@@ -234,31 +267,12 @@ def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = E
     In the log backend, comparisons within ``HUMP_DEFER_RTOL`` fall back to
     the exact backend so the boundary is never decided by rounding.
     """
-    _check_count(n)
-    _check_range(r)
-    _check_backend(backend)
-    rho = checked_rho(rho)
-    if r is UNBOUNDED or r >= n:
-        return False
-    if backend == EXACT:
-        return _hump_exact(n, rho, r)
-    p, q = rho.numerator, rho.denominator
-    log_rho = math.log(p) - math.log(q)
-    lhs = _log_window_sum(n, r, log_rho)
-    rhs = _log_binomial(n, r) + (n - r - 1) * log_rho
-    if abs(lhs - rhs) <= HUMP_DEFER_RTOL * max(1.0, abs(lhs), abs(rhs)):
-        return _hump_exact(n, rho, r)
-    return lhs < rhs
+    return _window_sums(n, ModelParams(rho, r, backend)).hump(n)
 
 
 def classify_stage(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Stage:
     """DEVELOPING while r >= n, then TRANSITIONING until the hump, DEVELOPED after."""
-    _check_count(n)
-    _check_range(r)
-    rho = checked_rho(rho)
-    if r is UNBOUNDED or r >= n:
-        return Stage.DEVELOPING
-    return Stage.DEVELOPED if hump_condition(n, rho, r, backend) else Stage.TRANSITIONING
+    return _window_sums(n, ModelParams(rho, r, backend)).stage(n)
 
 
 def _relative_deviation(exact: Fraction, approx: LogScalar) -> float:
@@ -302,19 +316,14 @@ def cross_validate(n: int, rho: Rational, r: Range = UNBOUNDED, tol: float = 1e-
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    _check_count(n)
-    _check_range(r)
-    rho = checked_rho(rho)
-    v_exact = variety(n, rho, r, EXACT)
-    v_log = variety(n, rho, r, LOGFLOAT)
-    a_exact = avg_length(n, rho, r, EXACT)
-    a_log = avg_length(n, rho, r, LOGFLOAT)
-    assert isinstance(v_exact, Fraction) and isinstance(a_exact, Fraction)
-    assert isinstance(v_log, LogScalar) and isinstance(a_log, LogScalar)
+    exact = _window_sums(n, ModelParams(rho, r))
+    logged = _WindowSums(replace(exact.params, backend=LOGFLOAT))
+    a_exact, a_log = exact.avg_length(n), logged.avg_length(n)
+    v_exact, v_log = exact.variety(n), logged.variety(n)
     return CrossCheck(
         n=n,
         r=r,
-        rho=rho,
+        rho=exact.params.rho,
         tol=tol,
         variety_exact=v_exact,
         variety_log=v_log,

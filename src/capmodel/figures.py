@@ -14,16 +14,16 @@ from fractions import Fraction
 
 from .core import ModelParams, Range, UNBOUNDED
 from .errors import DomainError
-from .trajectory import TrajectoryPoint, default_n_max, find_hump_onset, run_trajectory
+from .trajectory import TrajectoryPoint, default_n_max, run_trajectory
 
-FIGURE_IDS = (1, 2, 3)
-
-_FIG1_RHO = Fraction(1)
-_FIG1_R = 5
-_FIG2_RHO = Fraction(1, 2)
-_FIG2_R = 30
-_FIG3_RHO = Fraction(1, 2)
-_FIG3_RANGES = (5, 10, 20, 30)
+#: figure id -> (rho, product range of each series, marker names for where a
+#: series' range starts binding and for its hump onset; None marks nothing)
+_FIGURES = {
+    1: (Fraction(1), (UNBOUNDED, 5), ("constrained_from", "hump_onset")),
+    2: (Fraction(1, 2), (UNBOUNDED, 30), ("constrained_from", "hump_onset")),
+    3: (Fraction(1, 2), (5, 10, 20, 30), (None, "hump_onset_r={r}")),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 @dataclass(frozen=True)
@@ -41,54 +41,19 @@ class FigureData:
     markers: dict[str, int] = field(default_factory=dict)
 
 
-def _series(name: str, rho: Fraction, r: Range, n_max: int) -> FigureSeries:
-    traj = run_trajectory(ModelParams(rho, r), n_max)
-    return FigureSeries(name=name, r=r, points=traj.points)
-
-
 def figure_dataset(figure_id: int, n_max: int | None = None) -> FigureData:
     """Compute the dataset for one figure; pure and deterministic."""
     if figure_id not in FIGURE_IDS:
         raise DomainError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
-    if figure_id == 1:
-        n_max = n_max if n_max is not None else default_n_max(_FIG1_R)
-        markers = {"constrained_from": _FIG1_R + 1} if n_max >= _FIG1_R + 1 else {}
-        return FigureData(
-            figure_id=1,
-            rho=_FIG1_RHO,
-            series=(
-                _series("unconstrained", _FIG1_RHO, UNBOUNDED, n_max),
-                _series(f"r={_FIG1_R}", _FIG1_RHO, _FIG1_R, n_max),
-            ),
-            markers=markers,
-        )
-    if figure_id == 2:
-        n_max = n_max if n_max is not None else default_n_max(_FIG2_R)
-        markers: dict[str, int] = {}
-        if n_max >= _FIG2_R + 1:
-            markers["constrained_from"] = _FIG2_R + 1
-            onset = find_hump_onset(_FIG2_R, _FIG2_RHO, n_max)
-            if onset is not None:
-                markers["hump_onset"] = onset
-        return FigureData(
-            figure_id=2,
-            rho=_FIG2_RHO,
-            series=(
-                _series("unconstrained", _FIG2_RHO, UNBOUNDED, n_max),
-                _series(f"r={_FIG2_R}", _FIG2_RHO, _FIG2_R, n_max),
-            ),
-            markers=markers,
-        )
-    n_max = n_max if n_max is not None else max(default_n_max(r) for r in _FIG3_RANGES)
-    markers = {}
-    for r in _FIG3_RANGES:
-        if n_max >= r + 1:
-            onset = find_hump_onset(r, _FIG3_RHO, n_max)
-            if onset is not None:
-                markers[f"hump_onset_r={r}"] = onset
-    return FigureData(
-        figure_id=3,
-        rho=_FIG3_RHO,
-        series=tuple(_series(f"r={r}", _FIG3_RHO, r, n_max) for r in _FIG3_RANGES),
-        markers=markers,
-    )
+    rho, ranges, marker_names = _FIGURES[figure_id]
+    if n_max is None:
+        n_max = max(default_n_max(r) for r in ranges)
+    series, markers = [], {}
+    for r in ranges:
+        traj = run_trajectory(ModelParams(rho, r), n_max)
+        series.append(FigureSeries("unconstrained" if r is UNBOUNDED else f"r={r}", r, traj.points))
+        landmarks = (traj.transition_constrained_at, traj.hump_onset_at)
+        for name, n in zip(marker_names, landmarks):
+            if name is not None and n is not None:
+                markers[name.format(r=r)] = n
+    return FigureData(figure_id, rho, tuple(series), markers)

@@ -1,16 +1,25 @@
 """Capability-by-capability development paths and hump location.
 
-A trajectory evaluates the closed forms at every n from 0 to n_max, tagging
-each point with its stage and recording two landmark indices: the first n
-where the product range binds (always r + 1 for bounded r) and the first n
-where the hump condition holds.  Stage progression is not assumed monotone;
-if the hump condition ever reverts from True to False along the path, the
-trajectory carries a flag instead of failing.
+A trajectory evaluates the closed forms at every n from 0 to n_max in one
+walk of the window sums, tagging each point with its stage and recording
+two landmark indices: the first n where the product range binds (always
+r + 1 for bounded r) and the first n where the hump condition holds.
+
+Once the hump condition holds it holds for every larger n.  Dividing the
+condition ``variety(n, r) < C(n, r) * rho**(n - r - 1)`` by its right side
+gives ``sum_{j=0}^{r} [C(n, j) / C(n, r)] * rho**(r + 1 - j) < 1``, and
+each ratio ``C(n, j) / C(n, r) = r! (n - r)! / (j! (n - j)!)`` with j < r
+shrinks as n grows, so the left side never increases.  A scan of every
+rho = p/q with q <= 20 and r in 0..40, 60, 100, 150 found no reverting
+trajectory either.  ``non_monotone_flag`` therefore always reads False; it
+stays in the result, and in its serialized form, as a checked invariant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .core import (
     EXACT,
@@ -19,12 +28,9 @@ from .core import (
     Scalar,
     Stage,
     UNBOUNDED,
-    avg_length,
+    _window_sums,
+    _WindowSums,
     checked_rho,
-    classify_stage,
-    hump_condition,
-    variety,
-    variety_delta,
 )
 from .errors import DomainError
 from .scalars import Rational
@@ -57,46 +63,37 @@ def default_n_max(r: Range) -> int:
     return 50 if r is UNBOUNDED else max(3 * r, 50)
 
 
-def evaluate_point(params: ModelParams, n: int) -> TrajectoryPoint:
-    """All per-n quantities for one point under fixed parameters."""
-    rho, r, backend = params.rho, params.r, params.backend
+def _point(sums: _WindowSums, n: int) -> TrajectoryPoint:
+    avg_length = sums.avg_length(n)  # reads n - 1 first, so the exact walk never restarts
     return TrajectoryPoint(
         n=n,
-        variety=variety(n, rho, r, backend),
-        avg_length=avg_length(n, rho, r, backend),
-        delta_variety=variety_delta(n, rho, r, backend),
-        stage=classify_stage(n, rho, r, backend),
-        constrained=r is not UNBOUNDED and r < n,
+        variety=sums.variety(n),
+        avg_length=avg_length,
+        delta_variety=sums.delta(n),
+        stage=sums.stage(n),
+        constrained=sums.binds(n),
     )
+
+
+def evaluate_point(params: ModelParams, n: int) -> TrajectoryPoint:
+    """All per-n quantities for one point under fixed parameters."""
+    return _point(_window_sums(n, params), n)
 
 
 def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
     """Evaluate the model at every n = 0..n_max under fixed parameters."""
     if n_max is None:
         n_max = default_n_max(params.r)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    sums = _window_sums(n_max, params, "n_max")
+    points = tuple(_point(sums, n) for n in range(n_max + 1))
+    humps = [point.stage is Stage.DEVELOPED for point in points]
     r = params.r
-    points = []
-    hump_onset = None
-    non_monotone = False
-    previous_hump = False
-    for n in range(n_max + 1):
-        point = evaluate_point(params, n)
-        hump = point.stage is Stage.DEVELOPED
-        if hump and hump_onset is None:
-            hump_onset = n
-        if previous_hump and not hump:
-            non_monotone = True
-        previous_hump = hump
-        points.append(point)
-    constrained_at = r + 1 if r is not UNBOUNDED and n_max >= r + 1 else None
     return Trajectory(
         params=params,
-        points=tuple(points),
-        transition_constrained_at=constrained_at,
-        hump_onset_at=hump_onset,
-        non_monotone_flag=non_monotone,
+        points=points,
+        transition_constrained_at=r + 1 if r is not UNBOUNDED and n_max >= r + 1 else None,
+        hump_onset_at=humps.index(True) if True in humps else None,
+        non_monotone_flag=any(a and not b for a, b in pairwise(humps)),
     )
 
 
@@ -106,15 +103,12 @@ def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     Scanned with the exact backend.  The condition is defined False for
     r >= n, so the scan starts at n = r + 1.
     """
-    if r is UNBOUNDED or not isinstance(r, int) or isinstance(r, bool) or r < 0:
-        raise DomainError(f"r must be a bounded nonnegative integer, got {r!r}")
-    rho = checked_rho(rho)
-    if not isinstance(n_max, int) or n_max < r + 1:
+    if r is UNBOUNDED:
+        raise DomainError("r must be a bounded nonnegative integer, got UNBOUNDED")
+    sums = _window_sums(n_max, ModelParams(rho, r), "n_max")
+    if n_max < r + 1:
         raise DomainError(f"n_max must be at least r + 1 = {r + 1}, got {n_max!r}")
-    for n in range(r + 1, n_max + 1):
-        if hump_condition(n, rho, r, EXACT):
-            return n
-    return None
+    return next((n for n in range(r + 1, n_max + 1) if sums.hump(n)), None)
 
 
 def sweep_range(
@@ -139,19 +133,6 @@ def hump_onsets_nondecreasing(trajectories: list[Trajectory]) -> bool:
     occurs within a trajectory counts as later than any observed one.
     """
     # an unbounded range is wider than any bounded one, so it sorts last
-    ordered = sorted(
-        trajectories, key=lambda t: (t.params.r is None, t.params.r if t.params.r is not None else 0)
-    )
-    last = None
-    for traj in ordered:
-        onset = traj.hump_onset_at
-        if onset is None:
-            continue
-        if last is not None and onset < last:
-            return False
-        last = onset
-    # a missing onset for a larger r is consistent with "later"
-    for earlier, later in zip(ordered, ordered[1:]):
-        if earlier.hump_onset_at is None and later.hump_onset_at is not None:
-            return False
-    return True
+    ordered = sorted(trajectories, key=lambda t: math.inf if t.params.r is None else t.params.r)
+    onsets = [math.inf if t.hump_onset_at is None else t.hump_onset_at for t in ordered]
+    return all(a <= b for a, b in pairwise(onsets))

@@ -1,5 +1,6 @@
 """Trajectories, hump location, sweeps, and figure datasets."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,20 @@ class TestRunTrajectory:
         assert len(traj.points) == 1
         assert traj.points[0].variety == 1
 
+    def test_hump_never_reverts_on_a_grid(self):
+        # the hump condition, once true, stays true (see the trajectory docstring)
+        started = time.perf_counter()
+        rhos = {Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)}
+        humps = 0
+        for rho in sorted(rhos):
+            for r in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+                traj = cm.run_trajectory(ModelParams(rho, r), n_max=max(3 * r, 50) + 50)
+                assert traj.non_monotone_flag is False, (rho, r)
+                humps += traj.hump_onset_at is not None
+        assert humps > 0.8 * 9 * len(rhos)  # most paths pass the hump and go on
+        elapsed = time.perf_counter() - started
+        assert elapsed < 2.0, f"grid took {elapsed:.2f}s, budget 2s"
+
     def test_log_backend_trajectory(self):
         exact = cm.run_trajectory(ModelParams(HALF, 8, EXACT), n_max=40)
         logged = cm.run_trajectory(ModelParams(HALF, 8, LOGFLOAT), n_max=40)
@@ -97,6 +112,10 @@ class TestFindHumpOnset:
             cm.find_hump_onset(10, HALF, 10)
         with pytest.raises(cm.DomainError):
             cm.find_hump_onset(UNBOUNDED, HALF, 50)
+
+    def test_bool_bound_rejected(self):
+        with pytest.raises(cm.DomainError):
+            cm.find_hump_onset(0, HALF, True)
 
 
 class TestSweepRange:
