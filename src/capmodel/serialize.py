@@ -12,6 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import IO, Iterable
 
@@ -47,16 +50,26 @@ ORACLE_COLUMNS = ("stat", "expected", "empirical", "zscore")
 VALIDATE_COLUMNS = ("n", "r", "rho", "variety_rel_dev", "avg_length_rel_dev", "ok")
 
 _LN10 = math.log(10.0)
+_LOG10_2 = math.log10(2.0)
 _SIG = 12
+_CANONICAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def fraction_str(value: Fraction) -> str:
-    """Canonical rational string, always with an explicit denominator."""
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical rational string, always with an explicit denominator.
+
+    Digits go through `decimal`, which converts integers of any length;
+    ``str()`` refuses those past the interpreter's 4300-digit limit.
+    """
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    """Inverse of `fraction_str`, for integers of any length."""
+    if not _CANONICAL.fullmatch(text):
+        raise ValueError(f"not a canonical rational string: {text!r}")
+    numerator, denominator = text.split("/")
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
 
 
 def range_str(r: Range) -> str:
@@ -73,7 +86,8 @@ def _pow10_compare(num: int, den: int, e: int) -> int:
 
 
 def _floor_log10(num: int, den: int) -> int:
-    e = len(str(num)) - len(str(den))
+    # num/den lies within a factor 2 of 2**(bit lengths' difference)
+    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
     while _pow10_compare(num, den, e) < 0:
         e -= 1
     while _pow10_compare(num, den, e + 1) >= 0:
@@ -121,9 +135,10 @@ def _format_logscalar(value: LogScalar) -> str:
     if value.sign == 0:
         return "0.00000000000"
     as_float = value.to_float()
-    if math.isfinite(as_float) and as_float != 0.0:
+    if sys.float_info.min <= abs(as_float) < math.inf:
         return _format_fraction(Fraction(as_float))
-    # beyond double range: digits straight from the log-domain magnitude
+    # beyond the normal doubles (subnormals carry fewer than 53 bits):
+    # digits straight from the log-domain magnitude
     sign = "-" if value.sign < 0 else ""
     l10 = value.log_abs / _LN10
     e = math.floor(l10)

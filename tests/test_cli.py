@@ -1,12 +1,15 @@
 """CLI contract: parsing, config merge, exit codes, files, determinism."""
 
+import csv
 import json
 from fractions import Fraction
 
 import pytest
 
+import capmodel as cm
 from capmodel import UNBOUNDED
 from capmodel.cli import RunConfig, main, parse_config
+from capmodel.serialize import read_trajectory_csv
 
 
 def run_cli(args):
@@ -202,6 +205,28 @@ class TestCommands:
         assert code == 0
         row = out.read_text().splitlines()[1].split(",")
         assert "/" in row[1] and row[2]
+
+    def test_exact_values_past_the_int_digit_limit(self, tmp_path):
+        # the numerator has about 4950 digits, past str()'s 4300-digit limit
+        out = tmp_path / "big.csv"
+        assert run_cli(["eval", "--rho", "999/1000", "--n", "1500", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            [row] = read_trajectory_csv(fh)
+        assert row["variety_exact"] == Fraction(1999, 1000) ** 1500
+
+    def test_subnormal_log_values_keep_their_digits(self, tmp_path):
+        # variety is about 3.1e-316 here, a subnormal double with ~24 bits
+        out = tmp_path / "subnormal.csv"
+        args = ["eval", "--rho", "1/10", "--r", "400", "--n", "1008", "--backend", "logfloat"]
+        assert run_cli([*args, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            [row] = csv.DictReader(fh)
+        rho = Fraction(1, 10)
+        for column, exact in (
+            ("variety_float", cm.variety(1008, rho, 400)),
+            ("delta_variety_float", cm.variety_delta(1008, rho, 400)),
+        ):
+            assert abs(Fraction(row[column]) / exact - 1) <= 1e-9, column
 
 
 class TestDeterminism:
