@@ -75,7 +75,7 @@ class Stage(Enum):
 def checked_rho(rho: Rational) -> Fraction:
     """Validate and normalize a viability probability into (0, 1]."""
     value = as_rational(rho)
-    if not 0 < value <= 1:
+    if not 0 < value.numerator <= value.denominator:
         raise DomainError(f"rho must lie in (0, 1], got {value}")
     return value
 
@@ -124,10 +124,11 @@ def _log_window_sum(n: int, width: int, log_rho: float) -> float:
 class _WindowSums:
     """The window sums of one `ModelParams`, read at increasing ``n``.
 
-    ``term(k)`` is ``N_k`` (exact) or ``log variety(k, r)`` (log backend, read
-    only for ``k >= r``, where no closed form applies).  Each term is computed
-    once and the latest three are kept: the ``n - 1 .. n + 1`` a point reads.
-    Reading further back restarts the walk.
+    ``term(k)`` is ``N_k`` (exact) or the direct ``lgamma`` sum for
+    ``log variety(k, r)`` (log backend, read only for ``k >= r``; below that
+    the closed forms apply).  Each term is computed once and the latest three
+    are kept: the ``n - 1 .. n + 1`` a point reads.  Reading further back
+    restarts the walk.
     """
 
     def __init__(self, params: ModelParams):
@@ -147,7 +148,8 @@ class _WindowSums:
                 self._walk_to(k)
             else:
                 self._terms[k] = _log_window_sum(k, self.r, self.log_rho)
-            self._terms = {j: t for j, t in self._terms.items() if j >= k - 2}
+            if len(self._terms) > 3:
+                self._terms = {j: t for j, t in self._terms.items() if j >= k - 2}
         return self._terms[k]
 
     def _walk_to(self, k: int) -> None:
