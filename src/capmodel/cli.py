@@ -21,8 +21,8 @@ from .core import (
     LOGFLOAT,
     ModelParams,
     UNBOUNDED,
+    _cross_checks,
     checked_rho,
-    cross_validate,
 )
 from .errors import DomainError, ResourceLimitError
 from .figures import FIGURE_IDS, figure_dataset
@@ -324,52 +324,38 @@ def _write_output(config: RunConfig, write_fn) -> None:
     print(f"wrote {path}")
 
 
-def _backend_points(config: RunConfig, n_values) -> tuple[list | None, list | None]:
-    exact_points = log_points = None
-    if config.backend in (EXACT, BOTH):
-        params = ModelParams(config.rho, config.r, EXACT)
-        exact_points = [evaluate_point(params, n) for n in n_values]
-    if config.backend in (LOGFLOAT, BOTH):
-        params = ModelParams(config.rho, config.r, LOGFLOAT)
-        log_points = [evaluate_point(params, n) for n in n_values]
-    return exact_points, log_points
-
-
 def _cmd_eval(config: RunConfig) -> int:
-    exact_points, log_points = _backend_points(config, [config.n])
-    rows = serialize.trajectory_rows(exact_points, log_points)
-    params = ModelParams(config.rho, config.r, EXACT if config.backend == BOTH else config.backend)
-
-    def write(stream):
-        if config.format == "csv":
-            serialize.write_csv(serialize.TRAJECTORY_COLUMNS, rows, stream)
-        else:
-            payload = serialize.trajectory_json_payload(params, rows)
-            payload["params"]["backend"] = config.backend
-            serialize.write_json(payload, stream)
-
-    _write_output(config, write)
-    return 0
+    return _write_points(config, lambda params: ((evaluate_point(params, config.n),), None))
 
 
 def _cmd_trajectory(config: RunConfig) -> int:
-    trajectory = None
-    exact_points = log_points = None
-    if config.backend in (EXACT, BOTH):
-        trajectory = run_trajectory(ModelParams(config.rho, config.r, EXACT), config.n_max)
-        exact_points = trajectory.points
-    if config.backend in (LOGFLOAT, BOTH):
-        log_trajectory = run_trajectory(ModelParams(config.rho, config.r, LOGFLOAT), config.n_max)
-        log_points = log_trajectory.points
-        if trajectory is None:
-            trajectory = log_trajectory
-    rows = serialize.trajectory_rows(exact_points, log_points)
+    def run(params):
+        trajectory = run_trajectory(params, config.n_max)
+        return trajectory.points, trajectory
+
+    return _write_points(config, run)
+
+
+def _write_points(config: RunConfig, run) -> int:
+    """Write the points ``run(params)`` returns for each requested backend.
+
+    ``run`` returns the points and the trajectory they belong to (or None);
+    with both backends the exact run supplies stages and landmarks.
+    """
+    backends = (EXACT, LOGFLOAT) if config.backend == BOTH else (config.backend,)
+    results = {}
+    for backend in backends:
+        params = ModelParams(config.rho, config.r, backend)
+        results[backend] = (params, *run(params))
+    points = {backend: result[1] for backend, result in results.items()}
+    rows = serialize.trajectory_rows(points.get(EXACT), points.get(LOGFLOAT))
+    params, _, trajectory = results[backends[0]]
 
     def write(stream):
         if config.format == "csv":
             serialize.write_csv(serialize.TRAJECTORY_COLUMNS, rows, stream)
         else:
-            payload = serialize.trajectory_json_payload(trajectory.params, rows, trajectory)
+            payload = serialize.trajectory_json_payload(params, rows, trajectory)
             payload["params"]["backend"] = config.backend
             serialize.write_json(payload, stream)
 
@@ -437,9 +423,7 @@ def _cmd_oracle(config: RunConfig) -> int:
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    checks = [
-        cross_validate(n, config.rho, config.r, config.tol) for n in range(config.n_max + 1)
-    ]
+    checks = _cross_checks(config.n_max, config.rho, config.r, config.tol)
 
     def write(stream):
         if config.format == "csv":

@@ -121,6 +121,14 @@ def _log_window_sum(n: int, width: int, log_rho: float) -> float:
     return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
 
+def _log_sub(a: float, b: float) -> LogScalar:
+    """``exp(a) - exp(b)`` from two log magnitudes, signed, with no overflow."""
+    if a == b:
+        return LogScalar.zero()
+    big, small, sign = (a, b, 1) if a > b else (b, a, -1)
+    return LogScalar(sign, big + math.log1p(-math.exp(small - big)))
+
+
 class _WindowSums:
     """The window sums of one `ModelParams`, read at increasing ``n``.
 
@@ -177,12 +185,13 @@ class _WindowSums:
             self._terms[j] = n_j
         self._k, self._n, self._b = j, n_j, b_j
 
+    def _log_variety(self, n: int) -> float:
+        return self.term(n) if self.binds(n) else n * math.log1p(self.p / self.q)
+
     def variety(self, n: int) -> Scalar:
         if self.exact:
             return Fraction(self.term(n), self.q**n)
-        if self.binds(n):
-            return LogScalar.from_log(self.term(n))
-        return LogScalar.from_log(n * math.log1p(self.p / self.q))
+        return LogScalar.from_log(self._log_variety(n))
 
     def avg_length(self, n: int) -> Scalar:
         p, q = self.p, self.q
@@ -203,8 +212,8 @@ class _WindowSums:
             return Fraction(self.term(n + 1) - q * current, q ** (n + 1))
         if not self.binds(n + 1):
             return LogScalar.from_log(math.log(p) - math.log(q) + n * math.log1p(p / q))
-        current = self.variety(n)
-        return self.variety(n + 1) - current
+        current = self._log_variety(n)
+        return _log_sub(self._log_variety(n + 1), current)
 
     def hump(self, n: int) -> bool:
         r = self.r
@@ -316,21 +325,33 @@ def cross_validate(n: int, rho: Rational, r: Range = UNBOUNDED, tol: float = 1e-
 
     Report-only: deviations beyond ``tol`` flip ``ok`` but never raise.
     """
+    return _cross_checks(n, rho, r, tol, first=n)[0]
+
+
+def _cross_checks(
+    n_max: int, rho: Rational, r: Range, tol: float, first: int = 0
+) -> list[CrossCheck]:
+    """`cross_validate` at every n = first..n_max, in one walk of each backend."""
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    exact = _window_sums(n, ModelParams(rho, r))
+    exact = _window_sums(n_max, ModelParams(rho, r))
     logged = _WindowSums(replace(exact.params, backend=LOGFLOAT))
-    a_exact, a_log = exact.avg_length(n), logged.avg_length(n)
-    v_exact, v_log = exact.variety(n), logged.variety(n)
-    return CrossCheck(
-        n=n,
-        r=r,
-        rho=exact.params.rho,
-        tol=tol,
-        variety_exact=v_exact,
-        variety_log=v_log,
-        avg_length_exact=a_exact,
-        avg_length_log=a_log,
-        variety_rel_dev=_relative_deviation(v_exact, v_log),
-        avg_length_rel_dev=_relative_deviation(a_exact, a_log),
-    )
+    checks = []
+    for n in range(first, n_max + 1):
+        a_exact, a_log = exact.avg_length(n), logged.avg_length(n)
+        v_exact, v_log = exact.variety(n), logged.variety(n)
+        checks.append(
+            CrossCheck(
+                n=n,
+                r=r,
+                rho=exact.params.rho,
+                tol=tol,
+                variety_exact=v_exact,
+                variety_log=v_log,
+                avg_length_exact=a_exact,
+                avg_length_log=a_log,
+                variety_rel_dev=_relative_deviation(v_exact, v_log),
+                avg_length_rel_dev=_relative_deviation(a_exact, a_log),
+            )
+        )
+    return checks

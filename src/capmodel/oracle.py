@@ -24,9 +24,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import EXACT, UNBOUNDED, Range, avg_length, variety
+from .core import (
+    EXACT,
+    UNBOUNDED,
+    ModelParams,
+    Range,
+    _check_count,
+    avg_length,
+    checked_rho,
+    variety,
+)
 from .errors import DomainError, ResourceLimitError
-from .scalars import Rational, as_rational
+from .scalars import Rational
 
 PER_SUBSET = "per-subset"
 PER_LENGTH_BINOMIAL = "per-length-binomial"
@@ -42,6 +51,16 @@ def _check_seed(seed: int) -> None:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _check_book(n: int, mode: str) -> None:
+    """Check the size and the mode of a sampled recipe book before any draw."""
+    _check_count(n)
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    limit = PER_SUBSET_MAX_N if mode == PER_SUBSET else PER_LENGTH_MAX_N
+    if n > limit:
+        raise ResourceLimitError(f"{mode} sampling is limited to n <= {limit}, got {n}")
+
+
 def _window_lo(n: int, r: Range) -> int:
     return 0 if r is UNBOUNDED else max(0, n - r)
 
@@ -53,8 +72,8 @@ def enumerate_products(n: int, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
     when its size falls in the allowed window [n - r, n].  Matches the exact
     backend at rho = 1 by construction, which is what makes it an oracle.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    _check_count(n)
+    ModelParams(1, r)
     if n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
             f"enumeration is limited to n <= {ENUMERATION_MAX_N} (2**n subsets), got {n}"
@@ -106,31 +125,18 @@ def sample_recipe_book(
     ``keep_masks`` records the viable subset bitmasks (per-subset mode only),
     which is how persistence of draws across growing n can be observed.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    rho = as_rational(rho)
-    if not 0 < rho <= 1:
-        raise DomainError(f"rho must lie in (0, 1], got {rho}")
+    rho = checked_rho(rho)
+    _check_book(n, mode)
     _check_seed(seed)
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     viability = [float(rho**s) for s in range(n + 1)]
     if mode == PER_SUBSET:
-        if n > PER_SUBSET_MAX_N:
-            raise ResourceLimitError(
-                f"per-subset sampling is limited to n <= {PER_SUBSET_MAX_N}, got {n}"
-            )
         draws = rng.random(1 << n)
         sizes = _popcounts(n)
         viable = draws < np.asarray(viability)[sizes]
         counts = np.bincount(sizes[viable], minlength=n + 1)
         masks = tuple(int(m) for m in np.nonzero(viable)[0]) if keep_masks else None
         return RecipeBookSample(n, rho, seed, mode, tuple(int(c) for c in counts), masks)
-    if n > PER_LENGTH_MAX_N:
-        raise ResourceLimitError(
-            f"per-length-binomial sampling is limited to n <= {PER_LENGTH_MAX_N}, got {n}"
-        )
     counts = tuple(int(rng.binomial(math.comb(n, s), viability[s])) for s in range(n + 1))
     return RecipeBookSample(n, rho, seed, mode, counts)
 
@@ -207,10 +213,15 @@ def validate_expectations(
     base_seed: int = 12345,
     mode: str = PER_LENGTH_BINOMIAL,
 ) -> OracleReport:
-    """Run seeded sampling trials and compare moments with the closed forms."""
+    """Run seeded sampling trials and compare moments with the closed forms.
+
+    Every argument is checked before the first trial.
+    """
     if not isinstance(trials, int) or trials < 30:
         raise DomainError(f"trials must be an integer >= 30, got {trials!r}")
-    rho = as_rational(rho)
+    rho = ModelParams(rho, r).rho
+    _check_book(n, mode)
+    _check_seed(base_seed)
     count_sums = [0] * (n + 1)
     variety_sum = 0
     length_sum = 0

@@ -4,8 +4,8 @@ The exact backend works directly in `fractions.Fraction`, so every identity
 the model promises can be checked with zero tolerance.  The log-domain
 backend stores a sign and the natural log of the magnitude, which keeps
 quantities like ``(1 + rho) ** n`` representable long after they overflow a
-double.  `LogScalar` implements exactly the arithmetic the model formulas
-need: multiply, divide, signed add/subtract, and ordering.
+double.  `LogScalar` is a plain value: it carries no arithmetic, and the
+kernel works on its log magnitudes directly.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from fractions import Fraction
 from .errors import DomainError
 
 Rational = int | str | Fraction
-
-_LN10 = math.log(10.0)
 
 
 def as_rational(value: Rational) -> Fraction:
@@ -80,16 +78,6 @@ class LogScalar:
             return cls.zero()
         return cls(1 if value > 0 else -1, math.log(abs(value)))
 
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "LogScalar":
-        if value == 0:
-            return cls.zero()
-        num, den = value.numerator, value.denominator
-        # math.log takes arbitrary-size ints, so this never overflows
-        return cls(1 if num > 0 else -1, math.log(abs(num)) - math.log(den))
-
-    # -- conversions ------------------------------------------------------
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0
@@ -98,120 +86,3 @@ class LogScalar:
         except OverflowError:
             magnitude = math.inf
         return self.sign * magnitude
-
-    __float__ = to_float
-
-    def log10(self) -> float:
-        if self.sign <= 0:
-            raise ValueError("log10 requires a positive value")
-        return self.log_abs / _LN10
-
-    def __bool__(self) -> bool:
-        return self.sign != 0
-
-    # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "LogScalar | None":
-        if isinstance(other, LogScalar):
-            return other
-        if isinstance(other, (int, float, Fraction)) and not isinstance(other, bool):
-            return LogScalar.from_float(float(other))
-        return None
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.sign == 0 or o.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * o.sign, self.log_abs + o.log_abs)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.sign == 0:
-            raise ZeroDivisionError("log-domain division by zero")
-        if self.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * o.sign, self.log_abs - o.log_abs)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return LogScalar(-self.sign, self.log_abs)
-
-    def __abs__(self):
-        return LogScalar(0 if self.sign == 0 else 1, self.log_abs)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.sign == 0:
-            return o
-        if o.sign == 0:
-            return self
-        if self.sign == o.sign:
-            hi, lo = (self.log_abs, o.log_abs) if self.log_abs >= o.log_abs else (o.log_abs, self.log_abs)
-            return LogScalar(self.sign, hi + math.log1p(math.exp(lo - hi)))
-        # opposite signs: subtraction with sign of the larger magnitude
-        if self.log_abs == o.log_abs:
-            return LogScalar.zero()
-        big, small = (self, o) if self.log_abs > o.log_abs else (o, self)
-        return LogScalar(big.sign, big.log_abs + math.log1p(-math.exp(small.log_abs - big.log_abs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    # -- ordering ---------------------------------------------------------
-
-    def _compare(self, o: "LogScalar") -> int:
-        if self.sign != o.sign:
-            return -1 if self.sign < o.sign else 1
-        if self.sign == 0 or self.log_abs == o.log_abs:
-            return 0
-        bigger_magnitude = 1 if self.log_abs > o.log_abs else -1
-        return bigger_magnitude * self.sign
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._compare(o) < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._compare(o) <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._compare(o) > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._compare(o) >= 0

@@ -325,27 +325,30 @@ def _marker_target(name: str, fig: FigureData) -> str:
     return fig.series[0].name
 
 
+def _figure_point(point) -> dict:
+    return {
+        "n": point.n,
+        "variety_exact": fraction_str(point.variety),
+        "variety_float": format_sig12(point.variety),
+        "avg_length_exact": fraction_str(point.avg_length),
+        "avg_length_float": format_sig12(point.avg_length),
+    }
+
+
 def figure_rows(fig: FigureData) -> list[dict]:
     marker_at: dict[tuple[str, int], list[str]] = {}
     for name, n in fig.markers.items():
         marker_at.setdefault((_marker_target(name, fig), n), []).append(name)
-    rows = []
-    for series in fig.series:
-        for point in series.points:
-            names = marker_at.get((series.name, point.n), [])
-            rows.append(
-                {
-                    "figure": fig.figure_id,
-                    "series": series.name,
-                    "n": point.n,
-                    "variety_exact": fraction_str(point.variety),
-                    "variety_float": format_sig12(point.variety),
-                    "avg_length_exact": fraction_str(point.avg_length),
-                    "avg_length_float": format_sig12(point.avg_length),
-                    "marker": ";".join(names),
-                }
-            )
-    return rows
+    return [
+        {
+            "figure": fig.figure_id,
+            "series": series.name,
+            **_figure_point(point),
+            "marker": ";".join(marker_at.get((series.name, point.n), [])),
+        }
+        for series in fig.series
+        for point in series.points
+    ]
 
 
 def figure_json_payload(fig: FigureData) -> dict:
@@ -357,16 +360,7 @@ def figure_json_payload(fig: FigureData) -> dict:
             {
                 "name": series.name,
                 "r": range_str(series.r),
-                "points": [
-                    {
-                        "n": point.n,
-                        "variety_exact": fraction_str(point.variety),
-                        "variety_float": format_sig12(point.variety),
-                        "avg_length_exact": fraction_str(point.avg_length),
-                        "avg_length_float": format_sig12(point.avg_length),
-                    }
-                    for point in series.points
-                ],
+                "points": [_figure_point(point) for point in series.points],
             }
             for series in fig.series
         ],

@@ -126,6 +126,37 @@ class TestCommands:
         assert "OK" in capsys.readouterr().out
         assert out.read_text().count("true") == 61
 
+    def test_validate_walks_each_backend_once(self, tmp_path, monkeypatch):
+        from capmodel import core
+
+        log_sums, opened, exact_reads = [], [], []
+        log_window_sum, init, walk_to = (
+            core._log_window_sum, core._WindowSums.__init__, core._WindowSums._walk_to
+        )
+
+        def counting_sum(*args):
+            log_sums.append(args)
+            return log_window_sum(*args)
+
+        def counting_init(self, params):
+            opened.append(params.backend)
+            init(self, params)
+
+        def recording_walk(self, k):
+            exact_reads.append(k)
+            walk_to(self, k)
+
+        monkeypatch.setattr(core, "_log_window_sum", counting_sum)
+        monkeypatch.setattr(core._WindowSums, "__init__", counting_init)
+        monkeypatch.setattr(core._WindowSums, "_walk_to", recording_walk)
+        code = run_cli(["validate", "--rho", "3/4", "--r", "200", "--n-max", "600",
+                        "--out", str(tmp_path / "validate.csv")])
+        assert code == 0
+        assert len(log_sums) <= 600 - 200 + 2
+        assert sorted(opened) == ["exact", "logfloat"]
+        # the exact walk only ever moves forward: it never restarts
+        assert exact_reads == sorted(set(exact_reads))
+
     def test_validate_fail_exit_one(self):
         # an absurd tolerance makes genuine rounding look like a failure
         code = run_cli(["validate", "--rho", "0.5", "--r", "20", "--n-max", "60",

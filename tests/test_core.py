@@ -11,6 +11,17 @@ from capmodel import EXACT, LOGFLOAT, UNBOUNDED, Stage
 HALF = Fraction(1, 2)
 
 
+def _log_minus_exact(value: cm.LogScalar, exact: Fraction) -> Fraction:
+    """|value - exact| in exact arithmetic, for a value of any magnitude."""
+    if value.sign == 0:
+        return abs(exact)
+    # log_abs = k*ln2 + ln(mantissa), so the value is sign * mantissa * 2**k
+    k = math.floor(value.log_abs / math.log(2))
+    mantissa = Fraction(math.exp(value.log_abs - k * math.log(2)))
+    scale = Fraction(2) ** k
+    return abs(value.sign * mantissa * scale - exact)
+
+
 class TestBinomial:
     @pytest.mark.parametrize("n,s,expected", [(5, 2, 10), (7, 0, 1), (6, 3, 20)])
     def test_small_values(self, n, s, expected):
@@ -98,6 +109,25 @@ class TestVarietyDelta:
         delta = cm.variety_delta(3, HALF, 1, LOGFLOAT)
         assert delta.sign == -1
         assert delta.to_float() == pytest.approx(-5 / 16, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "rho,r,n",
+        [
+            # just before and after the hump, where the log delta cancels most
+            (Fraction(3, 4), 300, 1197),
+            (Fraction(3, 4), 300, 1198),
+            (HALF, 30, 58),
+            # variety in the subnormal doubles
+            (Fraction(1, 10), 400, 1008),
+        ],
+    )
+    def test_log_backend_within_1e9_of_variety(self, rho, r, n):
+        # delta crosses zero at the hump, so its error is measured against variety(n)
+        exact = cm.variety_delta(n, rho, r)
+        logged = cm.variety_delta(n, rho, r, LOGFLOAT)
+        scale = cm.variety(n, rho, r)
+        error = _log_minus_exact(logged, exact) / scale
+        assert error <= 1e-9, float(error)
 
 
 class TestHumpCondition:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capmodel as cm
-from capmodel import PER_LENGTH_BINOMIAL, PER_SUBSET
+from capmodel import PER_LENGTH_BINOMIAL, PER_SUBSET, UNBOUNDED
 
 HALF = Fraction(1, 2)
 
@@ -25,6 +25,11 @@ class TestEnumerateProducts:
         assert count == 63
         assert count == cm.variety(6, 1, 5)
         assert avg == cm.avg_length(6, 1, 5)
+
+    def test_invalid_args(self):
+        for n, r in (("x", UNBOUNDED), (-1, UNBOUNDED), (3, "a"), (3, -1)):
+            with pytest.raises(cm.DomainError):
+                cm.enumerate_products(n, r)
 
     def test_resource_bound(self):
         with pytest.raises(cm.ResourceLimitError):
@@ -136,6 +141,34 @@ class TestValidateExpectations:
     def test_requires_thirty_trials(self):
         with pytest.raises(cm.DomainError):
             cm.validate_expectations(8, HALF, trials=29, base_seed=1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": "x"},
+            {"n": 5.0},
+            {"n": -1},
+            {"n": True},
+            {"rho": 0},
+            {"rho": "2"},
+            {"rho": 0.5},
+            {"r": "a"},
+            {"r": -3},
+            {"mode": "guess"},
+            {"base_seed": -1},
+        ],
+        ids=repr,
+    )
+    def test_bad_input_rejected_before_any_sample(self, monkeypatch, kwargs):
+        from capmodel import oracle
+
+        drawn = []
+        monkeypatch.setattr(oracle, "sample_recipe_book", lambda *args: drawn.append(args))
+        call = {"n": 5, "rho": HALF, "r": UNBOUNDED, "trials": 1000, "base_seed": 1,
+                "mode": PER_LENGTH_BINOMIAL, **kwargs}
+        with pytest.raises(cm.DomainError):
+            cm.validate_expectations(**call)
+        assert drawn == []
 
     def test_deterministic_reports(self):
         a = cm.validate_expectations(10, HALF, trials=60, base_seed=777)
