@@ -146,6 +146,7 @@ def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int
 
     An empty window has no products; its mean length is defined as 0.
     """
+    ModelParams(sample.rho, r)
     lo = _window_lo(sample.n, r)
     count = sum(sample.counts_by_length[lo:])
     if count == 0:

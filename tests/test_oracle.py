@@ -116,6 +116,13 @@ class TestEmpiricalStats:
         )
         assert cm.empirical_stats(empty, 2) == (0, 0)
 
+    def test_invalid_range(self):
+        # a negative range would otherwise read as an empty window
+        sample = cm.sample_recipe_book(5, HALF, seed=1)
+        for r in ("a", -2, True):
+            with pytest.raises(cm.DomainError):
+                cm.empirical_stats(sample, r)
+
 
 class TestTrialSeeds:
     def test_deterministic(self):
