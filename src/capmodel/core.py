@@ -44,6 +44,7 @@ All functions are pure and share no state: each call walks its own sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -105,6 +106,8 @@ class ModelParams:
 def binomial(n: int, s: int) -> int:
     """C(n, s), with the convention that s outside [0, n] gives 0."""
     _check_count(n)
+    if not isinstance(s, int) or isinstance(s, bool):
+        raise DomainError(f"s must be an integer, got {s!r}")
     if s < 0 or s > n:
         return 0
     return math.comb(n, s)
@@ -332,8 +335,8 @@ def _cross_checks(
     n_max: int, rho: Rational, r: Range, tol: float, first: int = 0
 ) -> list[CrossCheck]:
     """`cross_validate` at every n = first..n_max, in one walk of each backend."""
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+        raise DomainError(f"tol must be a positive real number, got {tol!r}")
     exact = _window_sums(n_max, ModelParams(rho, r))
     logged = _WindowSums(replace(exact.params, backend=LOGFLOAT))
     checks = []

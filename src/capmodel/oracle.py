@@ -13,7 +13,9 @@ recipe book (which combinations happen to be viable) in one of two modes:
   distributionally identical to per-subset but usable up to n = 64.
 
 All randomness is PCG64 seeded from explicit integers; nothing reads
-environment entropy, and repeated runs are bit-identical.
+environment entropy, and repeated runs are bit-identical.  numpy is imported
+inside the functions that draw or seed, after their input checks, so
+importing the package (and every command but ``oracle``) does not load it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     EXACT,
@@ -36,6 +37,9 @@ from .core import (
 )
 from .errors import DomainError, ResourceLimitError
 from .scalars import Rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PER_SUBSET = "per-subset"
 PER_LENGTH_BINOMIAL = "per-length-binomial"
@@ -106,6 +110,7 @@ class RecipeBookSample:
 
 
 def _popcounts(n: int) -> np.ndarray:
+    import numpy as np
     masks = np.arange(1 << n, dtype=np.uint32)
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for bit in range(n):
@@ -128,6 +133,7 @@ def sample_recipe_book(
     rho = checked_rho(rho)
     _check_book(n, mode)
     _check_seed(seed)
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     viability = [float(rho**s) for s in range(n + 1)]
     if mode == PER_SUBSET:
@@ -158,8 +164,8 @@ def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int
 def trial_seed(base_seed: int, index: int) -> int:
     """Per-trial seed: first 64-bit word of SeedSequence((base_seed, index))."""
     _check_seed(base_seed)
-    if not isinstance(index, int) or index < 0:
-        raise DomainError(f"trial index must be a nonnegative integer, got {index!r}")
+    _check_count(index, "trial index")
+    import numpy as np
     ss = np.random.SeedSequence([base_seed, index])
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -1,6 +1,7 @@
 """CLI contract: parsing, config merge, exit codes, files, determinism."""
 
 import csv
+import decimal
 import json
 from fractions import Fraction
 
@@ -258,6 +259,18 @@ class TestCommands:
             ("delta_variety_float", cm.variety_delta(1008, rho, 400)),
         ):
             assert abs(Fraction(row[column]) / exact - 1) <= 1e-9, column
+
+    def test_large_log_values_within_the_gate(self, tmp_path):
+        # 1.5**10**6 prints as 1.81574844638e+176091, true ...641e+176091:
+        # at |log_abs| ~ 4e5 a double log carries the 1e-9 gate, not 12 digits
+        out = tmp_path / "large.csv"
+        args = ["eval", "--rho", "1/2", "--n", "1000000", "--backend", "logfloat"]
+        assert run_cli([*args, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            [row] = csv.DictReader(fh)
+        ctx = decimal.Context(prec=40)
+        exact = ctx.exp(ctx.multiply(10**6, ctx.ln(decimal.Decimal("1.5"))))
+        assert abs(ctx.divide(decimal.Decimal(row["variety_float"]), exact) - 1) <= 1e-9
 
 
 class TestDeterminism:

@@ -35,6 +35,11 @@ class TestBinomial:
         with pytest.raises(cm.DomainError):
             cm.binomial(-1, 0)
 
+    @pytest.mark.parametrize("s", ["a", 2.5, True, None])
+    def test_non_integer_s_rejected(self, s):
+        with pytest.raises(cm.DomainError):
+            cm.binomial(5, s)
+
 
 class TestVariety:
     def test_rho_one_doubles(self):
@@ -203,6 +208,15 @@ class TestCrossValidate:
     def test_tol_must_be_positive(self):
         with pytest.raises(cm.DomainError):
             cm.cross_validate(5, HALF, 2, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, True, "x", None, 1j])
+    def test_tol_must_be_a_positive_real(self, tol):
+        with pytest.raises(cm.DomainError):
+            cm.cross_validate(5, HALF, 2, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, Fraction(1, 10**9), math.inf])
+    def test_any_positive_real_tol_accepted(self, tol):
+        assert cm.cross_validate(5, HALF, 2, tol=tol).ok
 
     def test_values_carried_in_report(self):
         check = cm.cross_validate(12, HALF, 4)

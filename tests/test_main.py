@@ -1,0 +1,80 @@
+"""``python -m capmodel`` as a fresh process: exit codes, bytes, and imports.
+
+Every other CLI test calls ``main()`` in-process, where the test session has
+long since imported numpy.  Only a new interpreter shows that importing the
+package, and every command but ``oracle``, leaves numpy unloaded.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from capmodel.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs ``capmodel`` with the arguments after ``-c`` as ``__main__``, then
+# checks that numpy never entered ``sys.modules``; exits with the command's code.
+PROBE = """
+import runpy, sys
+sys.argv[0] = "capmodel"
+try:
+    runpy.run_module("capmodel", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+assert "numpy" not in sys.modules, "numpy was imported"
+sys.exit(code)
+"""
+
+NON_SAMPLING = [
+    ["eval", "--rho", "1/2", "--r", "30", "--n", "58", "--backend", "both"],
+    ["trajectory", "--rho", "1/2", "--r", "6", "--n-max", "30"],
+    ["sweep", "--rho", "1/2", "--r-values", "2,4", "--n-max", "15"],
+    ["hump", "--rho", "1/2", "--r", "30"],
+    ["validate", "--rho", "1/2", "--r", "10", "--n-max", "40"],
+    ["figures", "--id", "3"],
+]
+ORACLE = ["oracle", "--n", "10", "--rho", "0.5", "--trials", "100", "--seed", "7"]
+
+
+def _python(*args, cwd):
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_import_leaves_numpy_unloaded(tmp_path):
+    script = "import sys, capmodel; assert 'numpy' not in sys.modules"
+    result = _python("-c", script, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("args", NON_SAMPLING, ids=lambda args: args[0])
+def test_command_runs_without_numpy(args, tmp_path):
+    result = _python("-c", PROBE, *args, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out").stat().st_size > 0
+
+
+@pytest.mark.parametrize("n", ["-1", "x", "65"])
+def test_bad_oracle_n_exits_2_without_numpy(n, tmp_path):
+    # -1 and x fail in parsing, 65 in the oracle's own size check
+    result = _python("-c", PROBE, "oracle", "--n", n, "--rho", "0.5", cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:")
+
+
+def test_oracle_process_matches_in_process(tmp_path, capsys):
+    result = _python("-m", "capmodel", *ORACLE, "--out", "process.csv", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert main([*ORACLE, "--out", str(tmp_path / "inline.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()

@@ -136,6 +136,11 @@ class TestTrialSeeds:
         expected = int(np.random.SeedSequence([9, 4]).generate_state(1, np.uint64)[0])
         assert cm.trial_seed(9, 4) == expected
 
+    @pytest.mark.parametrize("index", [True, -1, 1.0, "1", None])
+    def test_bad_index_rejected(self, index):
+        with pytest.raises(cm.DomainError, match="trial index"):
+            cm.trial_seed(1, index)
+
 
 class TestValidateExpectations:
     def test_rho_one_zscores_exactly_zero(self):
