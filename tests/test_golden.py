@@ -1,9 +1,12 @@
 """Golden CLI outputs: every command below must reproduce its recorded bytes.
 
 ``tests/golden/manifest.json`` holds, per command, its arguments, the name
-of its ``--out`` file under ``tests/golden/``, its standard output (with the
-output path written as ``{out}``) and its exit code.  Refactors must keep
-all of them byte for byte; an intended change of output is re-recorded with
+of its ``--out`` file under ``tests/golden/`` (or null), its standard output
+and standard error (with the output path written as ``{out}``) and its exit
+code.  `COMMANDS` run with ``--out`` appended; `BARE_COMMANDS` run as given
+and write no file.  Help text wraps at the terminal width, so every command
+runs with ``COLUMNS=80``.  Refactors must keep all of them byte for byte; an
+intended change of output is re-recorded with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -12,9 +15,12 @@ and every changed file is named in CHANGES.md.
 
 import io
 import json
+import os
+import tempfile
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -72,6 +78,25 @@ COMMANDS = [
     ["eval", "--rho", "3/4", "--r", "300", "--n", "1198", "--backend", "both"],
 ]
 
+# Paths the list above does not reach: usage and I/O errors, output to
+# stdout, and help.  "{golden}" stands for tests/golden/ and "{tmp}" for an
+# empty scratch directory.
+BARE_COMMANDS = [
+    ["eval", "--rho", "3/2", "--r", "1", "--n", "3"],
+    ["trajectory", "--config", "{golden}/config-unknown-key.json"],
+    ["trajectory", "--config", "{golden}/config-float-rho.json"],
+    ["trajectory", "--rho", "1", "--n-max", "2", "--out", "{tmp}/missing/x.csv"],
+    ["hump", "--rho", "1/2", "--r", "30"],
+    ["--help"],
+    ["eval", "--help"],
+    ["trajectory", "--help"],
+    ["sweep", "--help"],
+    ["hump", "--help"],
+    ["oracle", "--help"],
+    ["validate", "--help"],
+    ["figures", "--help"],
+]
+
 
 def _extension(args):
     fmt = dict(zip(args[1::2], args[2::2])).get("--format")
@@ -82,21 +107,36 @@ def _name(index, args):
     return f"{index:02d}-{args[0]}.{_extension(args)}"
 
 
-def _run(args, out_path: Path) -> tuple[int, str]:
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = main([*args, "--out", str(out_path)])
-    return code, buffer.getvalue().replace(str(out_path), "{out}")
+def _run(args, paths: dict[str, Path]) -> tuple[int, str, str]:
+    """Run ``args`` in-process, with ``{name}`` placeholders set from ``paths``."""
+    for name, path in paths.items():
+        args = [arg.replace(f"{{{name}}}", str(path)) for arg in args]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(args)
+    texts = [stdout.getvalue(), stderr.getvalue()]
+    for name, path in paths.items():
+        texts = [text.replace(str(path), f"{{{name}}}") for text in texts]
+    return code, *texts
+
+
+def _run_entry(args, file, out_path: Path, tmp: Path) -> tuple[int, str, str]:
+    if file is None:
+        return _run(args, {"golden": GOLDEN, "tmp": tmp})
+    return _run([*args, "--out", str(out_path)], {"out": out_path})
 
 
 def write_golden() -> None:
-    """Record every command's output file, stdout and exit code."""
+    """Record every command's output file, stdout, stderr and exit code."""
     GOLDEN.mkdir(exist_ok=True)
     entries = []
-    for index, args in enumerate(COMMANDS):
-        name = _name(index, args)
-        code, stdout = _run(args, GOLDEN / name)
-        entries.append({"args": args, "file": name, "stdout": stdout, "exit": code})
+    listed = [(_name(index, args), args) for index, args in enumerate(COMMANDS)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in [*listed, *((None, args) for args in BARE_COMMANDS)]:
+            code, stdout, stderr = _run_entry(args, name, GOLDEN / str(name), Path(tmp))
+            entries.append(
+                {"args": args, "file": name, "stdout": stdout, "stderr": stderr, "exit": code}
+            )
     MANIFEST.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
 
 
@@ -105,17 +145,19 @@ def _entries():
 
 
 def test_manifest_covers_the_command_list():
-    assert [entry["args"] for entry in _entries()] == COMMANDS
+    assert [entry["args"] for entry in _entries()] == COMMANDS + BARE_COMMANDS
 
 
 def test_golden_outputs_reproduce_byte_for_byte(tmp_path):
     started = time.perf_counter()
     for entry in _entries():
-        out_path = tmp_path / entry["file"]
-        code, stdout = _run(entry["args"], out_path)
-        assert (code, stdout) == (entry["exit"], entry["stdout"]), entry["args"]
-        expected = (GOLDEN / entry["file"]).read_bytes()
-        assert out_path.read_bytes() == expected, entry["args"]
+        file = entry["file"]
+        out_path = tmp_path / str(file)
+        code, stdout, stderr = _run_entry(entry["args"], file, out_path, tmp_path)
+        recorded = (entry["exit"], entry["stdout"], entry["stderr"])
+        assert (code, stdout, stderr) == recorded, entry["args"]
+        if file is not None:
+            assert out_path.read_bytes() == (GOLDEN / file).read_bytes(), entry["args"]
     elapsed = time.perf_counter() - started
     assert elapsed < BUDGET_S, f"golden commands took {elapsed:.2f}s, budget {BUDGET_S}s"
 
