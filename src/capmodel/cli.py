@@ -1,19 +1,25 @@
 """Command-line surface: argument/config parsing, dispatch, serialization.
 
 Exit codes: 0 success, 1 a validation command found deviations beyond its
-tolerance, 2 usage error, 3 I/O error.  Values from a ``--config`` JSON file
-are merged below explicit flags; unknown config keys are rejected.  All
-randomness requires an explicit seed or uses the documented fixed default,
-so rerunning any command with identical arguments produces identical bytes.
+tolerance, 2 usage error, 3 I/O error.  Every flag is one row of `_FLAGS`,
+which builds the parser, names the keys a ``--config`` JSON file may hold,
+and normalizes each value.  Config values are merged below explicit flags;
+unknown config keys are rejected, and a key set to null counts as left out.
+All randomness requires an explicit seed or uses the documented fixed
+default, so rerunning any command with identical arguments produces
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import serialize
 from .core import (
@@ -23,6 +29,7 @@ from .core import (
     UNBOUNDED,
     _cross_checks,
     checked_rho,
+    cross_validate,
 )
 from .errors import DomainError, ResourceLimitError
 from .figures import FIGURE_IDS, figure_dataset
@@ -34,13 +41,6 @@ from .trajectory import (
     run_trajectory,
     sweep_range,
 )
-
-DEFAULT_SEED = 12345
-DEFAULT_TRIALS = 1000
-DEFAULT_TOL = 1e-9
-DEFAULT_Z_MAX = 4.0
-DEFAULT_HUMP_N_MAX = 500
-DEFAULT_VALIDATE_N_MAX = 100
 
 FORMATS = ("csv", "json")
 BOTH = "both"
@@ -69,98 +69,6 @@ class RunConfig:
     figure_id: int | None = None
 
 
-_COMMAND_FIELDS = {
-    "eval": {"rho", "r", "n", "backend", "format", "out"},
-    "trajectory": {"rho", "r", "n_max", "backend", "format", "out"},
-    "sweep": {"rho", "r_values", "n_max", "backend", "format", "out"},
-    "hump": {"rho", "r", "n_max", "format", "out"},
-    "oracle": {"n", "rho", "r", "trials", "seed", "mode", "z_max", "format", "out"},
-    "validate": {"rho", "r", "n_max", "tol", "format", "out"},
-    "figures": {"id", "n_max", "format", "out"},
-}
-
-_DEFAULTS = {
-    "eval": {"r": "unbounded", "backend": EXACT, "format": "csv"},
-    "trajectory": {"r": "unbounded", "backend": EXACT, "format": "csv"},
-    "sweep": {"backend": EXACT, "format": "csv"},
-    "hump": {"n_max": DEFAULT_HUMP_N_MAX, "format": "json"},
-    "oracle": {
-        "r": "unbounded",
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "mode": PER_LENGTH_BINOMIAL,
-        "z_max": DEFAULT_Z_MAX,
-        "format": "csv",
-    },
-    "validate": {"r": "unbounded", "n_max": DEFAULT_VALIDATE_N_MAX, "format": "csv"},
-    "figures": {"format": "csv"},
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="capmodel",
-        description="Combinatorial capability model: variety, complexity, stages, hump.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, format_default="csv"):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", help=f"output format: csv | json (default: {format_default})")
-
-    p = sub.add_parser("eval", help="evaluate all closed forms at one (n, r, rho)")
-    p.add_argument("--rho", help="viability probability in (0,1], e.g. 0.5 or 1/2")
-    p.add_argument("--r", help="product range: nonnegative integer or 'unbounded' (default)")
-    p.add_argument("--n", help="number of capabilities")
-    p.add_argument("--backend", help="exact | logfloat | both (default: exact)")
-    add_common(p)
-
-    p = sub.add_parser("trajectory", help="evaluate n = 0..n-max and tag stages")
-    p.add_argument("--rho", help="viability probability in (0,1]")
-    p.add_argument("--r", help="product range or 'unbounded' (default)")
-    p.add_argument("--n-max", dest="n_max", help="last n (default: max(3r, 50))")
-    p.add_argument("--backend", help="exact | logfloat | both (default: exact)")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="one trajectory per r value")
-    p.add_argument("--rho", help="viability probability in (0,1]")
-    p.add_argument("--r-values", dest="r_values", help="comma-separated ranges, e.g. 5,10,20,30")
-    p.add_argument("--n-max", dest="n_max", help="last n (default: max over r of max(3r, 50))")
-    p.add_argument("--backend", help="exact | logfloat (default: exact)")
-    add_common(p)
-
-    p = sub.add_parser("hump", help="first n where variety declines at the next step")
-    p.add_argument("--rho", help="viability probability in (0,1]")
-    p.add_argument("--r", help="bounded product range")
-    p.add_argument("--n-max", dest="n_max", help=f"scan bound (default: {DEFAULT_HUMP_N_MAX})")
-    add_common(p, format_default="json")
-
-    p = sub.add_parser("oracle", help="seeded sampling vs closed-form expectations")
-    p.add_argument("--n", help="number of capabilities")
-    p.add_argument("--rho", help="viability probability in (0,1]")
-    p.add_argument("--r", help="product range or 'unbounded' (default)")
-    p.add_argument("--trials", help=f"number of sampled books (default: {DEFAULT_TRIALS})")
-    p.add_argument("--seed", help=f"base seed (default: {DEFAULT_SEED})")
-    p.add_argument("--mode", help="per-subset | per-length-binomial (default)")
-    p.add_argument("--z-max", dest="z_max", help=f"|z| beyond this exits 1 (default: {DEFAULT_Z_MAX})")
-    add_common(p)
-
-    p = sub.add_parser("validate", help="exact vs log backend over n = 0..n-max")
-    p.add_argument("--rho", help="viability probability in (0,1]")
-    p.add_argument("--r", help="product range or 'unbounded' (default)")
-    p.add_argument("--n-max", dest="n_max", help=f"last n (default: {DEFAULT_VALIDATE_N_MAX})")
-    p.add_argument("--tol", help=f"relative tolerance; beyond it exits 1 (default: {DEFAULT_TOL})")
-    add_common(p)
-
-    p = sub.add_parser("figures", help="emit the dataset behind figure 1, 2, or 3")
-    p.add_argument("--id", help="figure id: 1, 2, or 3")
-    p.add_argument("--n-max", dest="n_max", help="override the figure's n axis")
-    add_common(p)
-
-    return parser
-
-
 # -- normalization ----------------------------------------------------------
 
 
@@ -168,17 +76,17 @@ def _fail(field: str, message: str) -> UsageError:
     return UsageError(f"{field}: {message}")
 
 
-def _norm_rho(value) -> Fraction:
+def _norm_rho(value, field: str) -> Fraction:
     if isinstance(value, float):
-        raise _fail("rho", "floats are inexact; pass a string like '0.5' or a ratio '1/2'")
+        raise _fail(field, "floats are inexact; pass a string like '0.5' or a ratio '1/2'")
     try:
         return checked_rho(value)
     except DomainError as exc:
-        raise _fail("rho", str(exc)) from exc
+        raise _fail(field, str(exc)) from exc
 
 
-def _norm_range(value, field: str = "r"):
-    if value is None or value == "unbounded":
+def _norm_range(value, field: str):
+    if value == "unbounded":
         return UNBOUNDED
     if isinstance(value, bool):
         raise _fail(field, f"expected an integer or 'unbounded', got {value!r}")
@@ -209,6 +117,8 @@ def _norm_int(value, field: str, minimum: int = 0) -> int:
 
 
 def _norm_float(value, field: str) -> float:
+    if isinstance(value, bool):
+        raise _fail(field, f"expected a number, got {value!r}")
     try:
         parsed = float(value)
     except (TypeError, ValueError):
@@ -218,29 +128,122 @@ def _norm_float(value, field: str) -> float:
     return parsed
 
 
-def _norm_choice(value, field: str, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        raise _fail(field, f"expected one of {', '.join(choices)}; got {value!r}")
-    return value
+def _one_of(*choices: str):
+    def normalize(value, field: str) -> str:
+        if value not in choices:
+            raise _fail(field, f"expected one of {', '.join(choices)}; got {value!r}")
+        return value
+
+    return normalize
 
 
-def _norm_r_values(value) -> tuple[int, ...]:
+def _norm_r_values(value, field: str) -> tuple[int, ...]:
     if isinstance(value, str):
         parts = [part.strip() for part in value.split(",") if part.strip()]
     elif isinstance(value, (list, tuple)):
         parts = list(value)
     else:
-        raise _fail("r-values", f"expected a comma-separated list, got {value!r}")
+        raise _fail(field, f"expected a comma-separated list, got {value!r}")
     if not parts:
-        raise _fail("r-values", "must be nonempty")
-    return tuple(_norm_int(part, "r-values") for part in parts)
+        raise _fail(field, "must be nonempty")
+    return tuple(_norm_int(part, field) for part in parts)
 
 
-def _require(merged: dict, field: str):
-    value = merged.get(field)
-    if value is None:
-        raise _fail(field, "is required")
+def _norm_figure_id(value, field: str) -> int:
+    figure_id = _norm_int(value, field)
+    if figure_id not in FIGURE_IDS:
+        raise _fail(field, f"must be one of {FIGURE_IDS}, got {figure_id}")
+    return figure_id
+
+
+def _norm_path(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise _fail(field, f"expected a path string, got {value!r}")
     return value
+
+
+def _library_default(function, name: str):
+    return inspect.signature(function).parameters[name].default
+
+
+_COMMANDS = {
+    "eval": "evaluate all closed forms at one (n, r, rho)",
+    "trajectory": "evaluate n = 0..n-max and tag stages",
+    "sweep": "one trajectory per r value",
+    "hump": "first n where variety declines at the next step",
+    "oracle": "seeded sampling vs closed-form expectations",
+    "validate": "exact vs log backend over n = 0..n-max",
+    "figures": "emit the dataset behind figure 1, 2, or 3",
+}
+_ALL = tuple(_COMMANDS)
+_REQUIRED = object()
+
+#: Every flag: (config key, commands, normalizer, default, help).  A key whose
+#: rule differs by command has one row per rule.  The flag is the key with
+#: dashes, and its help gains "(default: ...)" unless the default is None
+#: (worked out later) or _REQUIRED.
+_FLAGS = (
+    ("rho", _ALL[:-1], _norm_rho, _REQUIRED, "viability probability in (0,1], e.g. 0.5 or 1/2"),
+    ("r", ("eval", "trajectory", "oracle", "validate"), _norm_range, "unbounded",
+     "product range: nonnegative integer or 'unbounded'"),
+    ("r", ("hump",), _norm_int, _REQUIRED, "bounded product range"),
+    ("n", ("eval", "oracle"), _norm_int, _REQUIRED, "number of capabilities"),
+    ("r_values", ("sweep",), _norm_r_values, _REQUIRED, "comma-separated ranges, e.g. 5,10,20,30"),
+    ("id", ("figures",), _norm_figure_id, _REQUIRED, "figure id: 1, 2, or 3"),
+    ("n_max", ("trajectory",), _norm_int, None, "last n (default: max(3r, 50))"),
+    ("n_max", ("sweep",), _norm_int, None, "last n (default: max over r of max(3r, 50))"),
+    ("n_max", ("hump",), _norm_int, 500, "scan bound"),
+    ("n_max", ("validate",), _norm_int, 100, "last n"),
+    ("n_max", ("figures",), _norm_int, None, "override the figure's n axis"),
+    ("backend", ("eval", "trajectory"), _one_of(EXACT, LOGFLOAT, BOTH), EXACT,
+     "exact | logfloat | both"),
+    ("backend", ("sweep",), _one_of(EXACT, LOGFLOAT), EXACT, "exact | logfloat"),
+    ("trials", ("oracle",), partial(_norm_int, minimum=30),
+     _library_default(validate_expectations, "trials"), "number of sampled books"),
+    ("seed", ("oracle",), _norm_int, _library_default(validate_expectations, "base_seed"),
+     "base seed"),
+    ("mode", ("oracle",), _one_of(*MODES), PER_LENGTH_BINOMIAL, "per-subset | per-length-binomial"),
+    ("z_max", ("oracle",), _norm_float, 4.0, "|z| beyond this exits 1"),
+    ("tol", ("validate",), _norm_float, _library_default(cross_validate, "tol"),
+     "relative tolerance; beyond it exits 1"),
+    ("out", _ALL, _norm_path, None, "output path (default: stdout)"),
+    ("format", ("hump",), _one_of(*FORMATS), "json", "output format: csv | json"),
+    ("format", tuple(c for c in _ALL if c != "hump"), _one_of(*FORMATS), "csv",
+     "output format: csv | json"),
+)
+
+#: RunConfig fields whose names differ from their config keys.
+_FIELDS = {"out": "output_path", "id": "figure_id"}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="capmodel",
+        description="Combinatorial capability model: variety, complexity, stages, hump.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, commands, _, default, text in _FLAGS:
+            if command in commands:
+                if default is not None and default is not _REQUIRED:
+                    text = f"{text} (default: {default})"
+                p.add_argument("--" + key.replace("_", "-"), help=text)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+    return parser
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"config: cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config: invalid JSON in {path!r}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise UsageError("config: top level must be a JSON object")
+    return values
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -248,80 +251,44 @@ def parse_config(argv=None) -> RunConfig:
 
     Precedence: built-in defaults < config file < explicit flags.
     """
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
-    config_path = args.pop("config", None)
+    config_path = args.pop("config")
+    rows = [row for row in _FLAGS if command in row[1]]
 
-    merged = dict(_DEFAULTS[command])
-    if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"config: cannot read {config_path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config: invalid JSON in {config_path!r}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError("config: top level must be a JSON object")
-        for key, value in file_values.items():
-            if key not in _COMMAND_FIELDS[command]:
-                raise UsageError(f"config: unknown key {key!r} for command {command!r}")
-            merged[key] = value
-    for key, value in args.items():
+    merged = {} if config_path is None else _read_config(config_path)
+    keys = {row[0] for row in rows}
+    for key in merged:
+        if key not in keys:
+            raise UsageError(f"config: unknown key {key!r} for command {command!r}")
+    merged.update((key, value) for key, value in args.items() if value is not None)
+
+    kwargs: dict = {"command": command}
+    for key, _, normalize, default, _ in rows:
+        value = default if merged.get(key) is None else merged[key]
+        field = key.replace("_", "-")
+        if value is _REQUIRED:
+            raise _fail(field, "is required")
         if value is not None:
-            merged[key] = value
-
-    fields = _COMMAND_FIELDS[command]
-    out = merged.get("out")
-    fmt = _norm_choice(merged.get("format", "csv"), "format", FORMATS)
-
-    kwargs: dict = {"command": command, "output_path": out, "format": fmt}
-    if "rho" in fields:
-        kwargs["rho"] = _norm_rho(_require(merged, "rho"))
-    if "r" in fields:
-        if command == "hump":
-            kwargs["r"] = _norm_int(_require(merged, "r"), "r")
-        else:
-            kwargs["r"] = _norm_range(merged.get("r"))
-    if "n" in fields:
-        kwargs["n"] = _norm_int(_require(merged, "n"), "n")
-    if "n_max" in fields and merged.get("n_max") is not None:
-        kwargs["n_max"] = _norm_int(merged["n_max"], "n-max")
-    if "trials" in fields:
-        kwargs["trials"] = _norm_int(merged.get("trials", DEFAULT_TRIALS), "trials", minimum=30)
-    if "seed" in fields:
-        kwargs["seed"] = _norm_int(merged.get("seed", DEFAULT_SEED), "seed")
-    if "backend" in fields:
-        allowed = (EXACT, LOGFLOAT, BOTH) if command in ("eval", "trajectory") else (EXACT, LOGFLOAT)
-        kwargs["backend"] = _norm_choice(merged.get("backend", EXACT), "backend", allowed)
-    if "mode" in fields:
-        kwargs["mode"] = _norm_choice(merged.get("mode", PER_LENGTH_BINOMIAL), "mode", MODES)
-    if "z_max" in fields:
-        kwargs["z_max"] = _norm_float(merged.get("z_max", DEFAULT_Z_MAX), "z-max")
-    if "tol" in fields:
-        kwargs["tol"] = _norm_float(merged.get("tol", DEFAULT_TOL), "tol")
-    if "r_values" in fields:
-        kwargs["r_values"] = _norm_r_values(_require(merged, "r_values"))
-    if "id" in fields:
-        figure_id = _norm_int(_require(merged, "id"), "id")
-        if figure_id not in FIGURE_IDS:
-            raise _fail("id", f"must be one of {FIGURE_IDS}, got {figure_id}")
-        kwargs["figure_id"] = figure_id
+            kwargs[_FIELDS.get(key, key)] = normalize(value, field)
     return RunConfig(**kwargs)
 
 
 # -- dispatch ----------------------------------------------------------------
 
 
-def _write_output(config: RunConfig, write_fn) -> None:
+def _emit(config: RunConfig, columns: tuple[str, ...], rows, payload) -> None:
+    """Write ``rows()`` as CSV or ``payload()`` as JSON to ``--out`` or stdout."""
     path = config.output_path
-    if path is None or path == "-":
-        write_fn(sys.stdout)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_fn(fh)
-    print(f"wrote {path}")
+    to_file = path is not None and path != "-"
+    target = open(path, "w", encoding="utf-8", newline="") if to_file else nullcontext(sys.stdout)
+    with target as stream:
+        if config.format == "csv":
+            serialize.write_csv(columns, rows(), stream)
+        else:
+            serialize.write_json(payload(), stream)
+    if to_file:
+        print(f"wrote {path}")
 
 
 def _cmd_eval(config: RunConfig) -> int:
@@ -348,53 +315,37 @@ def _write_points(config: RunConfig, run) -> int:
         params = ModelParams(config.rho, config.r, backend)
         results[backend] = (params, *run(params))
     points = {backend: result[1] for backend, result in results.items()}
-    rows = serialize.trajectory_rows(points.get(EXACT), points.get(LOGFLOAT))
     params, _, trajectory = results[backends[0]]
 
-    def write(stream):
-        if config.format == "csv":
-            serialize.write_csv(serialize.TRAJECTORY_COLUMNS, rows, stream)
-        else:
-            payload = serialize.trajectory_json_payload(params, rows, trajectory)
-            payload["params"]["backend"] = config.backend
-            serialize.write_json(payload, stream)
+    def rows():
+        return serialize.trajectory_rows(points.get(EXACT), points.get(LOGFLOAT))
 
-    _write_output(config, write)
+    def payload():
+        payload = serialize.trajectory_json_payload(params, rows(), trajectory)
+        payload["params"]["backend"] = config.backend
+        return payload
+
+    _emit(config, serialize.TRAJECTORY_COLUMNS, rows, payload)
     return 0
 
 
 def _cmd_sweep(config: RunConfig) -> int:
     trajectories = sweep_range(config.rho, list(config.r_values), config.n_max, config.backend)
     nondecreasing = hump_onsets_nondecreasing(trajectories)
-
-    def write(stream):
-        if config.format == "csv":
-            serialize.write_csv(serialize.SWEEP_COLUMNS, serialize.sweep_rows(trajectories), stream)
-        else:
-            payload = serialize.sweep_json_payload(config.rho, trajectories)
-            payload["hump_onsets_nondecreasing"] = nondecreasing
-            serialize.write_json(payload, stream)
-
-    _write_output(config, write)
+    _emit(config, serialize.SWEEP_COLUMNS, lambda: serialize.sweep_rows(trajectories), lambda: {
+        **serialize.sweep_json_payload(config.rho, trajectories),
+        "hump_onsets_nondecreasing": nondecreasing,
+    })
     print(f"hump onsets nondecreasing in r: {str(nondecreasing).lower()}")
     return 0
 
 
 def _cmd_hump(config: RunConfig) -> int:
     onset = find_hump_onset(config.r, config.rho, config.n_max)
+    summary = (config.rho, config.r, config.n_max, onset)
     if config.output_path is not None:
-        def write(stream):
-            if config.format == "csv":
-                serialize.write_csv(
-                    serialize.HUMP_COLUMNS,
-                    serialize.hump_rows(config.rho, config.r, config.n_max, onset),
-                    stream,
-                )
-            else:
-                serialize.write_json(
-                    serialize.hump_json_payload(config.rho, config.r, config.n_max, onset), stream
-                )
-        _write_output(config, write)
+        _emit(config, serialize.HUMP_COLUMNS,
+              lambda: serialize.hump_rows(*summary), lambda: serialize.hump_json_payload(*summary))
     if onset is None:
         print(f"hump onset: none within n <= {config.n_max}")
     else:
@@ -406,14 +357,8 @@ def _cmd_oracle(config: RunConfig) -> int:
     report = validate_expectations(
         config.n, config.rho, config.r, config.trials, config.seed, config.mode
     )
-
-    def write(stream):
-        if config.format == "csv":
-            serialize.write_csv(serialize.ORACLE_COLUMNS, serialize.oracle_rows(report), stream)
-        else:
-            serialize.write_json(serialize.oracle_json_payload(report), stream)
-
-    _write_output(config, write)
+    _emit(config, serialize.ORACLE_COLUMNS,
+          lambda: serialize.oracle_rows(report), lambda: serialize.oracle_json_payload(report))
     ok = report.within(config.z_max)
     print(
         f"max |z| = {report.max_abs_zscore:.3f} over {config.trials} trials "
@@ -424,14 +369,8 @@ def _cmd_oracle(config: RunConfig) -> int:
 
 def _cmd_validate(config: RunConfig) -> int:
     checks = _cross_checks(config.n_max, config.rho, config.r, config.tol)
-
-    def write(stream):
-        if config.format == "csv":
-            serialize.write_csv(serialize.VALIDATE_COLUMNS, serialize.validate_rows(checks), stream)
-        else:
-            serialize.write_json(serialize.validate_json_payload(checks, config.tol), stream)
-
-    _write_output(config, write)
+    _emit(config, serialize.VALIDATE_COLUMNS, lambda: serialize.validate_rows(checks),
+          lambda: serialize.validate_json_payload(checks, config.tol))
     worst = max(check.max_rel_dev for check in checks)
     ok = all(check.ok for check in checks)
     print(
@@ -443,14 +382,8 @@ def _cmd_validate(config: RunConfig) -> int:
 
 def _cmd_figures(config: RunConfig) -> int:
     dataset = figure_dataset(config.figure_id, config.n_max)
-
-    def write(stream):
-        if config.format == "csv":
-            serialize.write_csv(serialize.FIGURE_COLUMNS, serialize.figure_rows(dataset), stream)
-        else:
-            serialize.write_json(serialize.figure_json_payload(dataset), stream)
-
-    _write_output(config, write)
+    _emit(config, serialize.FIGURE_COLUMNS,
+          lambda: serialize.figure_rows(dataset), lambda: serialize.figure_json_payload(dataset))
     return 0
 
 
