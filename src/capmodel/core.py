@@ -86,6 +86,11 @@ def _check_count(n: int, name: str = "n") -> None:
         raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
 
 
+def _check_range(r: Range) -> None:
+    if r is not UNBOUNDED and (not isinstance(r, int) or isinstance(r, bool) or r < 0):
+        raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: viability probability, product range, backend."""
@@ -96,9 +101,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", checked_rho(self.rho))
-        r = self.r
-        if r is not UNBOUNDED and (not isinstance(r, int) or isinstance(r, bool) or r < 0):
-            raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
+        _check_range(self.r)
         if self.backend not in BACKENDS:
             raise DomainError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 

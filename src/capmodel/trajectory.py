@@ -28,6 +28,7 @@ from .core import (
     Scalar,
     Stage,
     UNBOUNDED,
+    _check_range,
     _window_sums,
     _WindowSums,
     checked_rho,
@@ -60,6 +61,7 @@ class Trajectory:
 
 def default_n_max(r: Range) -> int:
     """Long enough to show the hump when there is one: max(3r, 50)."""
+    _check_range(r)
     return 50 if r is UNBOUNDED else max(3 * r, 50)
 
 
@@ -118,8 +120,8 @@ def sweep_range(
     backend: str = EXACT,
 ) -> list[Trajectory]:
     """One trajectory per product range, all over the same n axis."""
-    if not r_values:
-        raise DomainError("r_values must be nonempty")
+    if not isinstance(r_values, (list, tuple)) or not r_values:
+        raise DomainError(f"r_values must be a nonempty list of ranges, got {r_values!r}")
     rho = checked_rho(rho)
     if n_max is None:
         n_max = max(default_n_max(r) for r in r_values)

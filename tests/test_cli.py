@@ -78,6 +78,47 @@ class TestParseConfig:
         assert run_cli(["trajectory", "--config", str(config_path)]) == 2
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [True, 7, [], {"path": "x"}])
+    def test_config_out_must_be_a_string(self, tmp_path, capsys, out):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"rho": "1/2", "n": 3, "out": out}))
+        assert run_cli(["eval", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out:")
+
+    @pytest.mark.parametrize(
+        "command, values, field",
+        [("validate", {"tol": True}, "tol"), ("oracle", {"n": 3, "z_max": True}, "z-max")],
+    )
+    def test_config_bool_is_not_a_number(self, tmp_path, capsys, command, values, field):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"rho": "1/2", **values}))
+        assert run_cli([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize(
+        "values, flags",
+        [
+            ({"r": 5, "n_max": None}, ["hump", "--r", "5"]),
+            ({"n_max": None}, ["validate"]),
+            ({"n": 3, "trials": None, "seed": None}, ["oracle", "--n", "3"]),
+            ({"n": 4, "r": None}, ["eval", "--n", "4"]),
+            ({"r_values": "1,2", "n_max": None}, ["sweep", "--r-values", "1,2"]),
+        ],
+    )
+    def test_config_null_is_the_same_as_absent(self, tmp_path, values, flags):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"rho": "1/2", **values}))
+        from_config = parse_config([flags[0], "--config", str(config_path)])
+        assert from_config == parse_config([*flags, "--rho", "1/2"])
+
+    def test_config_null_for_a_required_key(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"rho": "1/2", "r": None}))
+        assert run_cli(["hump", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == "error: r: is required\n"
+
     def test_sweep_r_values(self):
         config = parse_config(["sweep", "--rho", "0.5", "--r-values", "5,10,20"])
         assert config.r_values == (5, 10, 20)

@@ -1,0 +1,145 @@
+"""Property tests of the error contract, for the CLI and for the library.
+
+CLI: any value a flag's normalizer must reject, given as a config key or as
+a flag, exits 2 with one ``error:`` line and nothing on stdout.  The flags
+are drawn from ``cli._FLAGS``, so a row added later is covered as well.
+
+Library: every public function given a bad scalar argument either returns
+or raises `DomainError` / `ResourceLimitError`, never anything else.
+"""
+
+import inspect
+import io
+import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import capmodel as cm
+from capmodel import DomainError, ModelParams, ResourceLimitError
+from capmodel.cli import _FLAGS, _REQUIRED, main
+
+# -- CLI ----------------------------------------------------------------------
+
+#: A small valid value for each key some command requires.
+REQUIRED_VALUES = {"rho": "1/2", "r": 2, "n": 3, "r_values": "1,2", "id": 1}
+#: Keys that take any positive float, and keys that take any string.
+FLOAT_KEYS = {"tol", "z_max"}
+STRING_KEYS = {"out"}
+
+FLAG_USES = [(key, command) for key, commands, *_ in _FLAGS for command in commands]
+
+
+def _bad_values(key: str):
+    """Values the normalizer of ``key`` must reject, whatever the command."""
+    bad = [
+        st.booleans(),
+        st.integers(max_value=-1),
+        st.floats(max_value=-1e-3),
+        st.just(math.nan),
+        st.lists(st.integers(max_value=-1), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    ]
+    if key not in FLOAT_KEYS:
+        bad.append(st.floats(min_value=1e-3, max_value=1e6))
+    if key not in STRING_KEYS:
+        # no number, choice or 'unbounded' is spelled with these letters
+        bad.append(st.text(alphabet="xyz~", min_size=1, max_size=5))
+    return st.one_of(bad)
+
+
+BAD_VALUES = {key: _bad_values(key) for key, *_ in _FLAGS}
+
+
+def _run(args) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(args)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _assert_usage_error(result, args) -> None:
+    code, stdout, stderr = result
+    assert code == 2, args
+    assert stdout == "", args
+    assert "Traceback" not in stderr, args
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), (args, stderr)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_flag_rejects_bad_values_with_exit_two(data):
+    key, command = data.draw(st.sampled_from(FLAG_USES), label="flag")
+    value = data.draw(BAD_VALUES[key], label="value")
+    required = {
+        row_key: REQUIRED_VALUES[row_key]
+        for row_key, commands, _, default, _ in _FLAGS
+        if command in commands and default is _REQUIRED and row_key != key
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**required, key: value}, fh)
+        args = [command, "--config", path]
+        _assert_usage_error(_run(args), args)
+    if isinstance(value, str):
+        flags = [item for k, v in required.items() for item in ("--" + k.replace("_", "-"), str(v))]
+        args = [command, "--" + key.replace("_", "-"), value, *flags]
+        _assert_usage_error(_run(args), args)
+
+
+# -- library --------------------------------------------------------------------
+
+#: Scalar arguments drawn bad; the rest get a small valid value.
+SCALARS = {
+    "n", "r", "rho", "n_max", "s", "tol", "trials", "base_seed", "index",
+    "r_values", "figure_id", "mode", "backend",
+}
+VALID = {
+    "n": 4, "r": 2, "rho": "1/2", "n_max": 8, "s": 1, "tol": 1e-9, "trials": 30,
+    "base_seed": 1, "index": 0, "r_values": [1, 2], "figure_id": 1,
+    "mode": cm.PER_LENGTH_BINOMIAL, "backend": cm.EXACT, "seed": 1, "value": "1/2",
+    "keep_masks": False, "params": ModelParams("1/2", 2), "trajectories": [],
+    "sample": cm.sample_recipe_book(4, "1/2", 1),
+}
+FUNCTIONS = [
+    getattr(cm, name) for name in cm.__all__ if inspect.isfunction(getattr(cm, name))
+] + [ModelParams]
+TARGETS = [
+    (function, name)
+    for function in FUNCTIONS
+    for name in inspect.signature(function).parameters
+    if name in SCALARS
+]
+
+BAD_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-5, max_value=-1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(max_magnitude=4),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+def test_every_scalar_argument_is_drawn():
+    assert {name for _, name in TARGETS} == SCALARS
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(TARGETS), value=BAD_SCALARS)
+def test_public_functions_raise_only_domain_errors(target, value):
+    function, name = target
+    kwargs = {param: VALID[param] for param in inspect.signature(function).parameters}
+    kwargs[name] = value
+    try:
+        function(**kwargs)
+    except (DomainError, ResourceLimitError):
+        pass

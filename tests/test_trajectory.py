@@ -61,6 +61,11 @@ class TestRunTrajectory:
         assert cm.default_n_max(5) == 50
         assert cm.default_n_max(30) == 90
 
+    @pytest.mark.parametrize("r", [-1, 100.5, "x", True])
+    def test_default_n_max_checks_r(self, r):
+        with pytest.raises(cm.DomainError):
+            cm.default_n_max(r)
+
     def test_n_max_zero_gives_single_point(self):
         traj = cm.run_trajectory(ModelParams(1, UNBOUNDED), n_max=0)
         assert len(traj.points) == 1
@@ -138,6 +143,11 @@ class TestSweepRange:
     def test_empty_r_values_rejected(self):
         with pytest.raises(cm.DomainError):
             cm.sweep_range(HALF, [], n_max=10)
+
+    @pytest.mark.parametrize("r_values", [5, "5", ["x"], None])
+    def test_r_values_must_be_a_list_of_ranges(self, r_values):
+        with pytest.raises(cm.DomainError):
+            cm.sweep_range(HALF, r_values)
 
     def test_missing_onset_for_larger_r_counts_as_later(self):
         trajectories = cm.sweep_range(HALF, [1, 30], n_max=40)  # r=30 onset is at 58
