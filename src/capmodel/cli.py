@@ -343,9 +343,8 @@ def _cmd_sweep(config: RunConfig) -> int:
 def _cmd_hump(config: RunConfig) -> int:
     onset = find_hump_onset(config.r, config.rho, config.n_max)
     summary = (config.rho, config.r, config.n_max, onset)
-    if config.output_path is not None:
-        _emit(config, serialize.HUMP_COLUMNS,
-              lambda: serialize.hump_rows(*summary), lambda: serialize.hump_json_payload(*summary))
+    _emit(config, serialize.HUMP_COLUMNS,
+          lambda: serialize.hump_rows(*summary), lambda: serialize.hump_json_payload(*summary))
     if onset is None:
         print(f"hump onset: none within n <= {config.n_max}")
     else:

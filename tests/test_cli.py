@@ -209,6 +209,12 @@ class TestCommands:
         assert run_cli(["hump", "--rho", "0.5", "--r", "1"]) == 0
         assert "hump onset: 2" in capsys.readouterr().out
 
+    def test_hump_writes_its_table_to_stdout_by_default(self, capsys):
+        assert run_cli(["hump", "--rho", "1/2", "--r", "30"]) == 0
+        table, summary = capsys.readouterr().out.split("}\n")
+        assert json.loads(table + "}") == {"rho": "1/2", "r": 30, "n_max": 500, "onset": 58}
+        assert summary == "hump onset: 58\n"
+
     def test_hump_none_within_bound(self, capsys):
         assert run_cli(["hump", "--rho", "1", "--r", "4", "--n-max", "100"]) == 0
         assert "none" in capsys.readouterr().out
