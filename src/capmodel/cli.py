@@ -175,7 +175,6 @@ _COMMANDS = {
     "validate": "exact vs log backend over n = 0..n-max",
     "figures": "emit the dataset behind figure 1, 2, or 3",
 }
-_ALL = tuple(_COMMANDS)
 _REQUIRED = object()
 
 #: Every flag: (config key, commands, normalizer, default, help).  A key whose
@@ -183,7 +182,8 @@ _REQUIRED = object()
 #: dashes, and its help gains "(default: ...)" unless the default is None
 #: (worked out later) or _REQUIRED.
 _FLAGS = (
-    ("rho", _ALL[:-1], _norm_rho, _REQUIRED, "viability probability in (0,1], e.g. 0.5 or 1/2"),
+    ("rho", ("eval", "trajectory", "sweep", "hump", "oracle", "validate"), _norm_rho, _REQUIRED,
+     "viability probability in (0,1], e.g. 0.5 or 1/2"),
     ("r", ("eval", "trajectory", "oracle", "validate"), _norm_range, "unbounded",
      "product range: nonnegative integer or 'unbounded'"),
     ("r", ("hump",), _norm_int, _REQUIRED, "bounded product range"),
@@ -206,10 +206,10 @@ _FLAGS = (
     ("z_max", ("oracle",), _norm_float, 4.0, "|z| beyond this exits 1"),
     ("tol", ("validate",), _norm_float, _library_default(cross_validate, "tol"),
      "relative tolerance; beyond it exits 1"),
-    ("out", _ALL, _norm_path, None, "output path (default: stdout)"),
+    ("out", tuple(_COMMANDS), _norm_path, None, "output path (default: stdout)"),
     ("format", ("hump",), _one_of(*FORMATS), "json", "output format: csv | json"),
-    ("format", tuple(c for c in _ALL if c != "hump"), _one_of(*FORMATS), "csv",
-     "output format: csv | json"),
+    ("format", ("eval", "trajectory", "sweep", "oracle", "validate", "figures"), _one_of(*FORMATS),
+     "csv", "output format: csv | json"),
 )
 
 #: RunConfig fields whose names differ from their config keys.

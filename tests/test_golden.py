@@ -112,18 +112,20 @@ def _run(args, paths: dict[str, Path]) -> tuple[int, str, str]:
     for name, path in paths.items():
         args = [arg.replace(f"{{{name}}}", str(path)) for arg in args]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main(args)
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(args)
     texts = [stdout.getvalue(), stderr.getvalue()]
     for name, path in paths.items():
         texts = [text.replace(str(path), f"{{{name}}}") for text in texts]
     return code, *texts
 
 
-def _run_entry(args, file, out_path: Path, tmp: Path) -> tuple[int, str, str]:
+def _run_entry(args, file, out_dir: Path, tmp: Path) -> tuple[int, str, str]:
+    """Run one entry: a listed command writes ``file`` under ``out_dir``."""
     if file is None:
         return _run(args, {"golden": GOLDEN, "tmp": tmp})
-    return _run([*args, "--out", str(out_path)], {"out": out_path})
+    return _run([*args, "--out", str(out_dir / file)], {"out": out_dir / file})
 
 
 def write_golden() -> None:
@@ -133,7 +135,7 @@ def write_golden() -> None:
     listed = [(_name(index, args), args) for index, args in enumerate(COMMANDS)]
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in [*listed, *((None, args) for args in BARE_COMMANDS)]:
-            code, stdout, stderr = _run_entry(args, name, GOLDEN / str(name), Path(tmp))
+            code, stdout, stderr = _run_entry(args, name, GOLDEN, Path(tmp))
             entries.append(
                 {"args": args, "file": name, "stdout": stdout, "stderr": stderr, "exit": code}
             )
@@ -152,12 +154,11 @@ def test_golden_outputs_reproduce_byte_for_byte(tmp_path):
     started = time.perf_counter()
     for entry in _entries():
         file = entry["file"]
-        out_path = tmp_path / str(file)
-        code, stdout, stderr = _run_entry(entry["args"], file, out_path, tmp_path)
+        code, stdout, stderr = _run_entry(entry["args"], file, tmp_path, tmp_path)
         recorded = (entry["exit"], entry["stdout"], entry["stderr"])
         assert (code, stdout, stderr) == recorded, entry["args"]
         if file is not None:
-            assert out_path.read_bytes() == (GOLDEN / file).read_bytes(), entry["args"]
+            assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), entry["args"]
     elapsed = time.perf_counter() - started
     assert elapsed < BUDGET_S, f"golden commands took {elapsed:.2f}s, budget {BUDGET_S}s"
 
