@@ -88,20 +88,10 @@ def _norm_rho(value, field: str) -> Fraction:
 def _norm_range(value, field: str):
     if value == "unbounded":
         return UNBOUNDED
-    if isinstance(value, bool):
-        raise _fail(field, f"expected an integer or 'unbounded', got {value!r}")
-    if isinstance(value, int):
-        parsed = value
-    elif isinstance(value, str):
-        try:
-            parsed = int(value)
-        except ValueError:
-            raise _fail(field, f"expected an integer or 'unbounded', got {value!r}") from None
-    else:
-        raise _fail(field, f"expected an integer or 'unbounded', got {value!r}")
-    if parsed < 0:
-        raise _fail(field, f"must be nonnegative, got {parsed}")
-    return parsed
+    try:
+        return _norm_int(value, field)
+    except UsageError:
+        raise _fail(field, f"expected a nonnegative integer or 'unbounded', got {value!r}") from None
 
 
 def _norm_int(value, field: str, minimum: int = 0) -> int:
