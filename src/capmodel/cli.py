@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -113,8 +114,8 @@ def _norm_float(value, field: str) -> float:
         parsed = float(value)
     except (TypeError, ValueError):
         raise _fail(field, f"expected a number, got {value!r}") from None
-    if not parsed > 0:
-        raise _fail(field, f"must be positive, got {parsed}")
+    if not 0 < parsed < math.inf:
+        raise _fail(field, f"must be positive and finite, got {parsed}")
     return parsed
 
 

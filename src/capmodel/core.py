@@ -32,11 +32,18 @@ step identity above by ``q**(n+1)`` gives
 
 started from the closed form ``(p + q)**min(n, r)``, so each step is one
 big-integer multiply-subtract and every identity holds with zero tolerance.
-The log-domain backend (`LogScalar`) computes each window sum directly from
-``lgamma`` instead: run in floating point, the recurrence cancels once the
-hump has passed.  It trades exactness for constant-size numbers and is meant
-for large ``n`` and fast sweeps; `cross_validate` measures its deviation
-from the exact backend.
+The log-domain backend (`LogScalar`) computes each window sum on its own
+instead: run in floating point, the recurrence cancels once the hump has
+passed.  With ``x = rho / (1 + rho)`` the window sum is a binomial tail,
+
+    variety(n, r) = (1 + rho)**n * I_x(n - r, r + 1)        (r < n)
+
+where ``I_x`` is the regularized incomplete beta function, evaluated as a
+log front factor (three ``lgamma`` calls) times a continued fraction.  Its
+cost does not depend on ``r``: the fraction takes a few iterations on most
+points and O(sqrt(n)) at worst.  The backend trades exactness for
+constant-size numbers and is meant for large ``n`` and fast sweeps;
+`cross_validate` measures its deviation from the exact backend.
 
 All functions are pure and share no state: each call walks its own sequence.
 """
@@ -45,11 +52,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .scalars import LogScalar, Rational, as_rational
 
 EXACT = "exact"
@@ -65,6 +73,9 @@ HUMP_DEFER_RTOL = 1e-12
 
 Range = int | None
 Scalar = Fraction | LogScalar
+
+#: The continued fraction stops once a step changes it by no more than this.
+_CF_TOL = 2 * sys.float_info.epsilon
 
 
 class Stage(Enum):
@@ -116,15 +127,61 @@ def binomial(n: int, s: int) -> int:
     return math.comb(n, s)
 
 
-def _log_window_sum(n: int, width: int, log_rho: float) -> float:
-    """log of sum_{s = n-width}^{n} C(n, s) rho**s, for 0 <= width <= n."""
-    lg_top = math.lgamma(n + 1)
-    terms = [
-        lg_top - math.lgamma(s + 1) - math.lgamma(n - s + 1) + s * log_rho
-        for s in range(n - width, n + 1)
-    ]
-    peak = max(terms)
-    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+def _log_binomial(n: int, k: int) -> float:
+    """log C(n, k) for 0 <= k <= n."""
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _beta_cf(a: int, b: int, x: float) -> float:
+    """The continued fraction of ``I_x(a, b)``, by modified Lentz.
+
+    ``I_x(a, b) = x**a * (1-x)**b / (a * B(a, b)) * _beta_cf(a, b, x)``
+    (Numerical Recipes, section 6.4, ``betacf``).  It converges fast for
+    ``x < (a+1) / (a+b+2)``, in O(sqrt(max(a, b))) iterations at worst, so
+    the cap scales with ``a + b``; hitting it raises `ResourceLimitError`.
+    """
+    tiny = 1e-300  # stands in for a zero denominator
+    cap = 64 + math.isqrt(a + b)
+    a, b = float(a), float(b)  # int products past 1e308 would not convert
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, cap + 1):
+        for aa in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d, c = 1.0 + aa * d, 1.0 + aa / c
+            d, c = 1.0 / (d if abs(d) > tiny else tiny), c if abs(c) > tiny else tiny
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= _CF_TOL:
+            return h
+    raise ResourceLimitError(
+        f"the incomplete beta continued fraction did not converge in {cap} iterations"
+        f" (a={a}, b={b}, x={x!r})"
+    )
+
+
+def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
+    """log of sum_{s = n-width}^{n} C(n, s) rho**s, for 0 <= width and rho = p/q.
+
+    With ``x = rho / (1 + rho)``, ``a = n - width`` and ``b = width + 1``, the
+    sum is ``(1 + rho)**n * I_x(a, b)``, the regularized incomplete beta
+    function: one `_log_binomial` and one `_beta_cf`, whatever the width.
+    """
+    log1p_rho = math.log1p(p / q)
+    if width >= n:
+        return n * log1p_rho
+    a, b = n - width, width + 1
+    # (1 + rho)**n * x**a * (1-x)**b / (a * B(a, b)) = C(n, width) * rho**a / (1 + rho)
+    front = _log_binomial(n, width) + a * (math.log(p) - math.log(q)) - log1p_rho
+    x = p / (p + q)
+    if x < (a + 1) / (a + b + 2):
+        return front + math.log(_beta_cf(a, b, x))
+    # the complement I_x(a, b) = 1 - I_{1-x}(b, a), whose front factor has b for a
+    tail = front + math.log(a / b) + math.log(_beta_cf(b, a, q / (p + q)))
+    return n * log1p_rho + math.log1p(-math.exp(tail - n * log1p_rho))
 
 
 def _log_sub(a: float, b: float) -> LogScalar:
@@ -138,9 +195,9 @@ def _log_sub(a: float, b: float) -> LogScalar:
 class _WindowSums:
     """The window sums of one `ModelParams`, read at increasing ``n``.
 
-    ``term(k)`` is ``N_k`` (exact) or the direct ``lgamma`` sum for
-    ``log variety(k, r)`` (log backend, read only for ``k >= r``; below that
-    the closed forms apply).  Each term is computed once and the latest three
+    ``term(k)`` is ``N_k`` (exact) or ``log variety(k, r)`` from the
+    incomplete beta kernel `_log_window_sum` (log backend, read only for
+    ``k >= r``; below that the closed forms apply).  Each term is computed once and the latest three
     are kept: the ``n - 1 .. n + 1`` a point reads.  Reading further back
     restarts the walk.
     """
@@ -161,7 +218,7 @@ class _WindowSums:
             if self.exact:
                 self._walk_to(k)
             else:
-                self._terms[k] = _log_window_sum(k, self.r, self.log_rho)
+                self._terms[k] = _log_window_sum(k, self.r, self.p, self.q)
             if len(self._terms) > 3:
                 self._terms = {j: t for j, t in self._terms.items() if j >= k - 2}
         return self._terms[k]
@@ -229,8 +286,7 @@ class _WindowSums:
             current = self.term(n)
             return self.term(n + 1) < self.q * current
         lhs = self.term(n)
-        lg = math.lgamma
-        rhs = lg(n + 1) - lg(r + 1) - lg(n - r + 1) + (n - r - 1) * self.log_rho
+        rhs = _log_binomial(n, r) + (n - r - 1) * self.log_rho
         if abs(lhs - rhs) <= HUMP_DEFER_RTOL * max(1.0, abs(lhs), abs(rhs)):
             return _WindowSums(replace(self.params, backend=EXACT)).hump(n)
         return lhs < rhs

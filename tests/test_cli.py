@@ -98,6 +98,34 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
     @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["validate", "--rho", "1/2", "--n-max", "3", "--tol", "inf"], "tol"),
+            (["oracle", "--rho", "1/2", "--n", "3", "--z-max", "Infinity"], "z-max"),
+        ],
+    )
+    def test_infinite_tolerance_flag_rejected(self, capsys, args, field):
+        # an infinite tolerance could never fail the check it sets
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field}: must be positive and finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "command, text, key, field",
+        [
+            ("validate", '{"rho": "1/2", "n_max": 3, "tol": 1e999}', "tol", "tol"),
+            ("oracle", '{"rho": "1/2", "n": 3, "z_max": 1e999}', "z_max", "z-max"),
+        ],
+    )
+    def test_infinite_tolerance_config_rejected(self, tmp_path, capsys, command, text, key, field):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text)
+        assert json.loads(config_path.read_text())[key] == float("inf")
+        assert run_cli([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: must be positive and finite, got inf\n"
+
+    @pytest.mark.parametrize(
         "values, flags",
         [
             ({"r": 5, "n_max": None}, ["hump", "--r", "5"]),

@@ -27,7 +27,7 @@ from capmodel.cli import _FLAGS, _REQUIRED, main
 
 #: A small valid value for each key some command requires.
 REQUIRED_VALUES = {"rho": "1/2", "r": 2, "n": 3, "r_values": "1,2", "id": 1}
-#: Keys that take any positive float, and keys that take any string.
+#: Keys that take any positive finite float, and keys that take any string.
 FLOAT_KEYS = {"tol", "z_max"}
 STRING_KEYS = {"out"}
 
@@ -41,6 +41,7 @@ def _bad_values(key: str):
         st.integers(max_value=-1),
         st.floats(max_value=-1e-3),
         st.just(math.nan),
+        st.just(math.inf),
         st.lists(st.integers(max_value=-1), max_size=2),
         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
     ]
