@@ -159,7 +159,7 @@ def _beta_cf(a: int, b: int, x: float) -> float:
             return h
     raise ResourceLimitError(
         f"the incomplete beta continued fraction did not converge in {cap} iterations"
-        f" (a={a}, b={b}, x={x!r})"
+        f" (a={a:.0f}, b={b:.0f}, x={x!r})"
     )
 
 
