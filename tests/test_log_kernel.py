@@ -67,14 +67,8 @@ def test_unconverged_fraction_is_a_resource_limit(monkeypatch, capsys):
 
 
 def test_lgamma_calls_do_not_grow_with_the_window(monkeypatch):
-    calls = []
-
-    def counting_lgamma(value):
-        calls.append(value)
-        return lgamma(value)
-
-    lgamma = math.lgamma
-    monkeypatch.setattr(math, "lgamma", counting_lgamma)
+    calls, lgamma = [], math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda value: calls.append(value) or lgamma(value))
     counts = []
     for width in (1, 30, 400, 4_000):
         calls.clear()
