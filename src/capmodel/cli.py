@@ -13,14 +13,13 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from . import serialize
 from .core import (
@@ -51,8 +50,7 @@ class UsageError(Exception):
     """Bad command line or config file; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     rho: Fraction | None = None
     r: int | None = None
@@ -154,7 +152,10 @@ def _norm_path(value, field: str) -> str:
 
 
 def _library_default(function, name: str):
-    return inspect.signature(function).parameters[name].default
+    """The default of ``function``'s positional parameter ``name``."""
+    code = function.__code__
+    names = code.co_varnames[: code.co_argcount]
+    return function.__defaults__[names.index(name) - len(names)]
 
 
 _COMMANDS = {
@@ -332,6 +333,8 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 
 def _cmd_hump(config: RunConfig) -> int:
+    if config.n_max < config.r + 1:
+        raise _fail("n-max", f"must be at least r + 1 = {config.r + 1}, got {config.n_max}")
     onset = find_hump_onset(config.r, config.rho, config.n_max)
     summary = (config.rho, config.r, config.n_max, onset)
     _emit(config, serialize.HUMP_COLUMNS,
@@ -403,7 +406,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(config)
-    except (DomainError, ResourceLimitError) as exc:
+    except (UsageError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

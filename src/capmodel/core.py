@@ -53,9 +53,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .scalars import LogScalar, Rational, as_rational
@@ -73,6 +73,10 @@ HUMP_DEFER_RTOL = 1e-12
 
 Range = int | None
 Scalar = Fraction | LogScalar
+
+#: The largest ``n`` the log backend takes: ``lgamma(n + 1)`` and
+#: ``n * log(1 + rho)`` must be finite doubles.
+_LOG_N_MAX = 10**300
 
 #: The continued fraction stops once a step changes it by no more than this.
 _CF_TOL = 2 * sys.float_info.epsilon
@@ -102,19 +106,27 @@ def _check_range(r: Range) -> None:
         raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _ModelParamsFields(NamedTuple):
+    rho: Fraction
+    r: Range
+    backend: str
+
+
+class ModelParams(_ModelParamsFields):
     """Model parameters: viability probability, product range, backend."""
 
-    rho: Fraction
-    r: Range = UNBOUNDED
-    backend: str = EXACT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", checked_rho(self.rho))
-        _check_range(self.r)
-        if self.backend not in BACKENDS:
-            raise DomainError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+    def __new__(cls, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> "ModelParams":
+        rho = checked_rho(rho)
+        _check_range(r)
+        if backend not in BACKENDS:
+            raise DomainError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        return tuple.__new__(cls, (rho, r, backend))
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelParams":  # so that _replace checks as well
+        return cls(*iterable)
 
 
 def binomial(n: int, s: int) -> int:
@@ -288,7 +300,7 @@ class _WindowSums:
         lhs = self.term(n)
         rhs = _log_binomial(n, r) + (n - r - 1) * self.log_rho
         if abs(lhs - rhs) <= HUMP_DEFER_RTOL * max(1.0, abs(lhs), abs(rhs)):
-            return _WindowSums(replace(self.params, backend=EXACT)).hump(n)
+            return _WindowSums(self.params._replace(backend=EXACT)).hump(n)
         return lhs < rhs
 
     def stage(self, n: int) -> Stage:
@@ -300,6 +312,11 @@ class _WindowSums:
 def _window_sums(n: int, params: ModelParams, name: str = "n") -> _WindowSums:
     """Check the last ``n`` a caller reads and open the window sums of ``params``."""
     _check_count(n, name)
+    if params.backend == LOGFLOAT and n > _LOG_N_MAX:
+        raise DomainError(
+            f"{name} must be at most {_LOG_N_MAX:.0e} on the {LOGFLOAT} backend,"
+            f" got an integer of {n.bit_length()} bits"
+        )
     return _WindowSums(params)
 
 
@@ -358,8 +375,7 @@ def _relative_deviation(exact: Fraction, approx: LogScalar) -> float:
     return abs(math.expm1(approx.log_abs - log_exact))
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(NamedTuple):
     """Exact vs log-domain evaluation of variety and average length at one point."""
 
     n: int
@@ -397,7 +413,7 @@ def _cross_checks(
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
         raise DomainError(f"tol must be a positive real number, got {tol!r}")
     exact = _window_sums(n_max, ModelParams(rho, r))
-    logged = _WindowSums(replace(exact.params, backend=LOGFLOAT))
+    logged = _WindowSums(exact.params._replace(backend=LOGFLOAT))
     checks = []
     for n in range(first, n_max + 1):
         a_exact, a_log = exact.avg_length(n), logged.avg_length(n)

@@ -9,8 +9,10 @@ the later the hump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import ModelParams, Range, UNBOUNDED
 from .errors import DomainError
@@ -26,19 +28,17 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-@dataclass(frozen=True)
-class FigureSeries:
+class FigureSeries(NamedTuple):
     name: str
     r: Range
     points: tuple[TrajectoryPoint, ...]
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(NamedTuple):
     figure_id: int
     rho: Fraction
     series: tuple[FigureSeries, ...]
-    markers: dict[str, int] = field(default_factory=dict)
+    markers: Mapping[str, int] = MappingProxyType({})
 
 
 def figure_dataset(figure_id: int, n_max: int | None = None) -> FigureData:

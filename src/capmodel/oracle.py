@@ -21,9 +21,8 @@ importing the package (and every command but ``oracle``) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     EXACT,
@@ -94,8 +93,7 @@ def enumerate_products(n: int, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
     return count, Fraction(total_length, count)
 
 
-@dataclass(frozen=True)
-class RecipeBookSample:
+class RecipeBookSample(NamedTuple):
     """One stochastic draw of which capability combinations are viable."""
 
     n: int
@@ -170,8 +168,7 @@ def trial_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Sampled moments next to their closed-form expectations.
 
     z-scores are (empirical mean - expectation) / standard error; a z of

@@ -11,8 +11,8 @@ kernel works on its log magnitudes directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -46,22 +46,34 @@ def as_rational(value: Rational) -> Fraction:
     raise DomainError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-@dataclass(frozen=True, slots=True)
-class LogScalar:
-    """A real number stored as a sign and the natural log of its magnitude.
-
-    ``sign`` is -1, 0, or +1; zero is the canonical ``(0, -inf)`` pair so it
-    compares and hashes consistently.
-    """
-
+class _LogScalarFields(NamedTuple):
     sign: int
     log_abs: float
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {self.sign!r}")
-        if self.sign == 0 and self.log_abs != -math.inf:
-            object.__setattr__(self, "log_abs", -math.inf)
+
+class LogScalar(_LogScalarFields):
+    """A real number stored as a sign and the natural log of its magnitude.
+
+    ``sign`` is -1, 0, or +1; zero is the canonical ``(0, -inf)`` pair so it
+    compares and hashes consistently.  There is no ordering: a tuple's
+    order (sign, then ``log_abs``) is wrong for negative values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sign: int, log_abs: float) -> "LogScalar":
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0, or +1, got {sign!r}")
+        return tuple.__new__(cls, (sign, -math.inf if sign == 0 else log_abs))
+
+    @classmethod
+    def _make(cls, iterable) -> "LogScalar":  # so that _replace checks as well
+        return cls(*iterable)
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     @classmethod
     def zero(cls) -> "LogScalar":

@@ -18,8 +18,8 @@ stays in the result, and in its serialized form, as a checked invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 from .core import (
     EXACT,
@@ -37,8 +37,7 @@ from .errors import DomainError
 from .scalars import Rational
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     n: int
     variety: Scalar
     avg_length: Scalar
@@ -47,8 +46,7 @@ class TrajectoryPoint:
     constrained: bool
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     params: ModelParams
     points: tuple[TrajectoryPoint, ...]
     transition_constrained_at: int | None

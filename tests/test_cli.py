@@ -243,6 +243,12 @@ class TestCommands:
         assert json.loads(table + "}") == {"rho": "1/2", "r": 30, "n_max": 500, "onset": 58}
         assert summary == "hump onset: 58\n"
 
+    def test_hump_bound_below_the_range_names_the_flag(self, capsys):
+        assert run_cli(["hump", "--rho", "1/2", "--r", "3", "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n-max: must be at least r + 1 = 4, got 2\n"
+
     def test_hump_none_within_bound(self, capsys):
         assert run_cli(["hump", "--rho", "1", "--r", "4", "--n-max", "100"]) == 0
         assert "none" in capsys.readouterr().out

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from capmodel import EXACT, LOGFLOAT, ModelParams, ResourceLimitError, core
+from capmodel import EXACT, LOGFLOAT, DomainError, ModelParams, ResourceLimitError, core
 from capmodel.cli import main
+from capmodel.trajectory import run_trajectory
 
 GATE = 1e-9
 
@@ -75,3 +76,24 @@ def test_lgamma_calls_do_not_grow_with_the_window(monkeypatch):
         core._log_window_sum(10_000, width, 3, 4)
         counts.append(len(calls))
     assert counts == [3, 3, 3, 3]
+
+
+def test_n_past_the_limit_is_a_domain_error(capsys):
+    # the limit keeps lgamma(n + 1) finite; 10**310 does not even convert to a float
+    limit = core._LOG_N_MAX
+    assert core.variety(limit, "1/2", None, LOGFLOAT).log_abs == pytest.approx(limit * math.log(1.5))
+    message = r"^n must be at most 1e\+300 on the logfloat backend, got an integer of 1030 bits$"
+    for function in (core.variety, core.avg_length, core.variety_delta, core.classify_stage):
+        with pytest.raises(DomainError, match=message):
+            function(10**310, "1/2", 5, LOGFLOAT)
+    with pytest.raises(DomainError, match=r"^n must be at most 1e\+300"):
+        core.hump_condition(limit + 1, "1/2", 5, LOGFLOAT)
+    with pytest.raises(DomainError, match=r"^n_max must be at most 1e\+300"):
+        run_trajectory(ModelParams("1/2", 5, LOGFLOAT), limit + 1)
+    args = ["eval", "--rho", "1/2", "--r", "5", "--n", str(10**310), "--backend", "logfloat"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n must be at most 1e+300 on the logfloat backend, got an integer of 1030 bits\n"
+    )

@@ -1,8 +1,12 @@
 """``python -m capmodel`` as a fresh process: exit codes, bytes, and imports.
 
 Every other CLI test calls ``main()`` in-process, where the test session has
-long since imported numpy.  Only a new interpreter shows that importing the
-package, and every command but ``oracle``, leaves numpy unloaded.
+long since imported numpy, `dataclasses` and `inspect`.  Only a new
+interpreter shows that importing the package, and every command but
+``oracle``, leaves numpy unloaded and loads neither `dataclasses` nor
+`inspect`, which the NamedTuple records and the flag table do without.  A
+``.pth`` file in site-packages may import modules before ``-c`` runs, so the
+guard compares with the modules present before the import.
 """
 
 import os
@@ -16,18 +20,25 @@ from capmodel.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs ``capmodel`` with the arguments after ``-c`` as ``__main__``, then
-# checks that numpy never entered ``sys.modules``; exits with the command's code.
+# After an import or a command: numpy never entered ``sys.modules``, and
+# neither `dataclasses` nor `inspect` was loaded since ``before``.
+GUARD = """
+assert "numpy" not in sys.modules, "numpy was imported"
+loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+assert not loaded, f"{sorted(loaded)} were imported"
+"""
+
+# Runs ``capmodel`` with the arguments after ``-c`` as ``__main__``, applies
+# the guard, and exits with the command's code.
 PROBE = """
 import runpy, sys
+before = set(sys.modules)
 sys.argv[0] = "capmodel"
 try:
     runpy.run_module("capmodel", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-assert "numpy" not in sys.modules, "numpy was imported"
-sys.exit(code)
-"""
+""" + GUARD + "sys.exit(code)\n"
 
 NON_SAMPLING = [
     ["eval", "--rho", "1/2", "--r", "30", "--n", "58", "--backend", "both"],
@@ -52,7 +63,7 @@ def _python(*args, cwd):
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):
-    script = "import sys, capmodel; assert 'numpy' not in sys.modules"
+    script = "import sys\nbefore = set(sys.modules)\nimport capmodel\n" + GUARD
     result = _python("-c", script, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
 
