@@ -269,14 +269,14 @@ def parse_config(argv=None) -> RunConfig:
 # -- dispatch ----------------------------------------------------------------
 
 
-def _emit(config: RunConfig, columns: tuple[str, ...], rows, payload) -> None:
+def _emit(config: RunConfig, rows, payload) -> None:
     """Write ``rows()`` as CSV or ``payload()`` as JSON to ``--out`` or stdout."""
     path = config.output_path
     to_file = path is not None and path != "-"
     target = open(path, "w", encoding="utf-8", newline="") if to_file else nullcontext(sys.stdout)
     with target as stream:
         if config.format == "csv":
-            serialize.write_csv(columns, rows(), stream)
+            serialize.write_csv(rows(), stream)
         else:
             serialize.write_json(payload(), stream)
     if to_file:
@@ -317,14 +317,14 @@ def _write_points(config: RunConfig, run) -> int:
         payload["params"]["backend"] = config.backend
         return payload
 
-    _emit(config, serialize.TRAJECTORY_COLUMNS, rows, payload)
+    _emit(config, rows, payload)
     return 0
 
 
 def _cmd_sweep(config: RunConfig) -> int:
     trajectories = sweep_range(config.rho, list(config.r_values), config.n_max, config.backend)
     nondecreasing = hump_onsets_nondecreasing(trajectories)
-    _emit(config, serialize.SWEEP_COLUMNS, lambda: serialize.sweep_rows(trajectories), lambda: {
+    _emit(config, lambda: serialize.sweep_rows(trajectories), lambda: {
         **serialize.sweep_json_payload(config.rho, trajectories),
         "hump_onsets_nondecreasing": nondecreasing,
     })
@@ -336,9 +336,8 @@ def _cmd_hump(config: RunConfig) -> int:
     if config.n_max < config.r + 1:
         raise _fail("n-max", f"must be at least r + 1 = {config.r + 1}, got {config.n_max}")
     onset = find_hump_onset(config.r, config.rho, config.n_max)
-    summary = (config.rho, config.r, config.n_max, onset)
-    _emit(config, serialize.HUMP_COLUMNS,
-          lambda: serialize.hump_rows(*summary), lambda: serialize.hump_json_payload(*summary))
+    row = serialize.hump_payload(config.rho, config.r, config.n_max, onset)
+    _emit(config, lambda: [row], lambda: row)
     if onset is None:
         print(f"hump onset: none within n <= {config.n_max}")
     else:
@@ -350,8 +349,8 @@ def _cmd_oracle(config: RunConfig) -> int:
     report = validate_expectations(
         config.n, config.rho, config.r, config.trials, config.seed, config.mode
     )
-    _emit(config, serialize.ORACLE_COLUMNS,
-          lambda: serialize.oracle_rows(report), lambda: serialize.oracle_json_payload(report))
+    _emit(config, lambda: serialize.oracle_rows(report),
+          lambda: serialize.oracle_json_payload(report))
     ok = report.within(config.z_max)
     print(
         f"max |z| = {report.max_abs_zscore:.3f} over {config.trials} trials "
@@ -362,7 +361,7 @@ def _cmd_oracle(config: RunConfig) -> int:
 
 def _cmd_validate(config: RunConfig) -> int:
     checks = _cross_checks(config.n_max, config.rho, config.r, config.tol)
-    _emit(config, serialize.VALIDATE_COLUMNS, lambda: serialize.validate_rows(checks),
+    _emit(config, lambda: serialize.validate_rows(checks),
           lambda: serialize.validate_json_payload(checks, config.tol))
     worst = max(check.max_rel_dev for check in checks)
     ok = all(check.ok for check in checks)
@@ -375,8 +374,8 @@ def _cmd_validate(config: RunConfig) -> int:
 
 def _cmd_figures(config: RunConfig) -> int:
     dataset = figure_dataset(config.figure_id, config.n_max)
-    _emit(config, serialize.FIGURE_COLUMNS,
-          lambda: serialize.figure_rows(dataset), lambda: serialize.figure_json_payload(dataset))
+    _emit(config, lambda: serialize.figure_rows(dataset),
+          lambda: serialize.figure_json_payload(dataset))
     return 0
 
 

@@ -175,6 +175,11 @@ def _beta_cf(a: int, b: int, x: float) -> float:
     )
 
 
+def _log_rho(p: int, q: int) -> float:
+    """log rho for rho = p/q."""
+    return math.log(p) - math.log(q)
+
+
 def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
     """log of sum_{s = n-width}^{n} C(n, s) rho**s, for 0 <= width and rho = p/q.
 
@@ -187,7 +192,7 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
         return n * log1p_rho
     a, b = n - width, width + 1
     # (1 + rho)**n * x**a * (1-x)**b / (a * B(a, b)) = C(n, width) * rho**a / (1 + rho)
-    front = _log_binomial(n, width) + a * (math.log(p) - math.log(q)) - log1p_rho
+    front = _log_binomial(n, width) + a * _log_rho(p, q) - log1p_rho
     x = p / (p + q)
     if x < (a + 1) / (a + b + 2):
         return front + math.log(_beta_cf(a, b, x))
@@ -217,7 +222,7 @@ class _WindowSums:
     def __init__(self, params: ModelParams):
         self.params, self.r, self.exact = params, params.r, params.backend == EXACT
         self.p, self.q = p, q = params.rho.numerator, params.rho.denominator
-        self.log_rho = math.log(p) - math.log(q)
+        self.log_rho = _log_rho(p, q)
         self._terms: dict[int, int | float] = {}
         self._k = -1  # the exact walk stands at (k, N_k, subtracted term of step k)
         self._n = self._b = 0
@@ -286,7 +291,7 @@ class _WindowSums:
             current = self.term(n)
             return Fraction(self.term(n + 1) - q * current, q ** (n + 1))
         if not self.binds(n + 1):
-            return LogScalar.from_log(math.log(p) - math.log(q) + n * math.log1p(p / q))
+            return LogScalar.from_log(self.log_rho + n * math.log1p(p / q))
         current = self._log_variety(n)
         return _log_sub(self._log_variety(n + 1), current)
 

@@ -227,15 +227,14 @@ def validate_expectations(
     _check_book(n, mode)
     _check_seed(base_seed)
     count_sums = [0] * (n + 1)
-    variety_sum = 0
-    length_sum = 0
-    lo = _window_lo(n, r)
     for i in range(trials):
         sample = sample_recipe_book(n, rho, trial_seed(base_seed, i), mode)
         for s, c in enumerate(sample.counts_by_length):
             count_sums[s] += c
-        variety_sum += sum(sample.counts_by_length[lo:])
-        length_sum += sum(s * c for s, c in enumerate(sample.counts_by_length) if s >= lo)
+    # both window sums are linear in the counts, so they are taken once, over all trials
+    lo = _window_lo(n, r)
+    variety_sum = sum(count_sums[lo:])
+    length_sum = sum(s * count_sums[s] for s in range(lo, n + 1))
 
     expected_counts = [float(math.comb(n, s) * rho**s) for s in range(n + 1)]
     count_vars = [

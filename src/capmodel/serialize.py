@@ -16,38 +16,11 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO
 
 from .core import EXACT, Range, Stage, UNBOUNDED
 from .figures import FigureData
 from .scalars import LogScalar
-
-TRAJECTORY_COLUMNS = (
-    "n",
-    "variety_exact",
-    "variety_float",
-    "avg_length_exact",
-    "avg_length_float",
-    "delta_variety_float",
-    "stage",
-    "constrained",
-    "hump",
-)
-
-FIGURE_COLUMNS = (
-    "figure",
-    "series",
-    "n",
-    "variety_exact",
-    "variety_float",
-    "avg_length_exact",
-    "avg_length_float",
-    "marker",
-)
-
-ORACLE_COLUMNS = ("stat", "expected", "empirical", "zscore")
-
-VALIDATE_COLUMNS = ("n", "r", "rho", "variety_rel_dev", "avg_length_rel_dev", "ok")
 
 _LN10 = math.log(10.0)
 _LOG10_2 = math.log10(2.0)
@@ -156,17 +129,9 @@ def format_sig12(value) -> str:
     """Decimal string with exactly 12 significant digits."""
     if isinstance(value, LogScalar):
         return _format_logscalar(value)
-    if isinstance(value, Fraction):
-        return _format_fraction(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return _format_fraction(Fraction(value))
-    if isinstance(value, float):
-        if value == 0.0:
-            return "0.00000000000"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
         return _format_fraction(Fraction(value))
     raise TypeError(f"cannot format {type(value).__name__}")
 
@@ -179,11 +144,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(columns: tuple[str, ...], rows: Iterable[dict], stream: IO[str]) -> None:
+def write_csv(rows: list[dict], stream: IO[str]) -> None:
+    """Write a table of row dicts; the keys of the first row are the header."""
+    columns = list(rows[0])
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in columns])
+        writer.writerow([_cell(row[col]) for col in columns])
 
 
 def write_json(payload, stream: IO[str]) -> None:
@@ -192,6 +159,17 @@ def write_json(payload, stream: IO[str]) -> None:
 
 
 # -- trajectories ----------------------------------------------------------
+
+
+def _point_cells(exact, point) -> dict:
+    # exact cells render ``exact`` (empty when it is None), float cells ``point``
+    return {
+        "n": point.n,
+        "variety_exact": None if exact is None else fraction_str(exact.variety),
+        "variety_float": format_sig12(point.variety),
+        "avg_length_exact": None if exact is None else fraction_str(exact.avg_length),
+        "avg_length_float": format_sig12(point.avg_length),
+    }
 
 
 def trajectory_rows(points_exact=None, points_log=None) -> list[dict]:
@@ -213,11 +191,7 @@ def trajectory_rows(points_exact=None, points_log=None) -> list[dict]:
         exact = base if points_exact is not None else None
         rows.append(
             {
-                "n": base.n,
-                "variety_exact": fraction_str(exact.variety) if exact else None,
-                "variety_float": format_sig12(fp.variety),
-                "avg_length_exact": fraction_str(exact.avg_length) if exact else None,
-                "avg_length_float": format_sig12(fp.avg_length),
+                **_point_cells(exact, fp),
                 "delta_variety_float": format_sig12(fp.delta_variety),
                 "stage": base.stage.value,
                 "constrained": base.constrained,
@@ -243,10 +217,6 @@ def trajectory_json_payload(params, rows: list[dict], trajectory=None) -> dict:
     return payload
 
 
-def _parse_bool(text: str) -> bool:
-    return text == "true"
-
-
 def parse_trajectory_row(row: dict) -> dict:
     """Typed view of one serialized trajectory row (CSV cells or JSON)."""
     def frac(value):
@@ -255,7 +225,7 @@ def parse_trajectory_row(row: dict) -> dict:
         return parse_fraction(value) if isinstance(value, str) else value
 
     def boolean(value):
-        return value if isinstance(value, bool) else _parse_bool(value)
+        return value if isinstance(value, bool) else value == "true"
 
     return {
         "n": int(row["n"]),
@@ -297,9 +267,6 @@ def sweep_rows(trajectories) -> list[dict]:
     return rows
 
 
-SWEEP_COLUMNS = ("r",) + TRAJECTORY_COLUMNS
-
-
 def sweep_json_payload(rho: Fraction, trajectories) -> dict:
     return {
         "rho": fraction_str(rho),
@@ -325,16 +292,6 @@ def _marker_target(name: str, fig: FigureData) -> str:
     return fig.series[0].name
 
 
-def _figure_point(point) -> dict:
-    return {
-        "n": point.n,
-        "variety_exact": fraction_str(point.variety),
-        "variety_float": format_sig12(point.variety),
-        "avg_length_exact": fraction_str(point.avg_length),
-        "avg_length_float": format_sig12(point.avg_length),
-    }
-
-
 def figure_rows(fig: FigureData) -> list[dict]:
     marker_at: dict[tuple[str, int], list[str]] = {}
     for name, n in fig.markers.items():
@@ -343,7 +300,7 @@ def figure_rows(fig: FigureData) -> list[dict]:
         {
             "figure": fig.figure_id,
             "series": series.name,
-            **_figure_point(point),
+            **_point_cells(point, point),
             "marker": ";".join(marker_at.get((series.name, point.n), [])),
         }
         for series in fig.series
@@ -360,7 +317,7 @@ def figure_json_payload(fig: FigureData) -> dict:
             {
                 "name": series.name,
                 "r": range_str(series.r),
-                "points": [_figure_point(point) for point in series.points],
+                "points": [_point_cells(point, point) for point in series.points],
             }
             for series in fig.series
         ],
@@ -438,12 +395,7 @@ def validate_json_payload(checks, tol: float) -> dict:
 
 # -- hump ------------------------------------------------------------------
 
-HUMP_COLUMNS = ("rho", "r", "n_max", "onset")
 
-
-def hump_rows(rho: Fraction, r: int, n_max: int, onset: int | None) -> list[dict]:
-    return [{"rho": fraction_str(rho), "r": r, "n_max": n_max, "onset": onset}]
-
-
-def hump_json_payload(rho: Fraction, r: int, n_max: int, onset: int | None) -> dict:
+def hump_payload(rho: Fraction, r: int, n_max: int, onset: int | None) -> dict:
+    """The hump table's one row: CSV writes it as a table, JSON as an object."""
     return {"rho": fraction_str(rho), "r": r, "n_max": n_max, "onset": onset}

@@ -87,11 +87,10 @@ def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
     sums = _window_sums(n_max, params, "n_max")
     points = tuple(_point(sums, n) for n in range(n_max + 1))
     humps = [point.stage is Stage.DEVELOPED for point in points]
-    r = params.r
     return Trajectory(
         params=params,
         points=points,
-        transition_constrained_at=r + 1 if r is not UNBOUNDED and n_max >= r + 1 else None,
+        transition_constrained_at=next((point.n for point in points if point.constrained), None),
         hump_onset_at=humps.index(True) if True in humps else None,
         non_monotone_flag=any(a and not b for a, b in pairwise(humps)),
     )

@@ -2,6 +2,7 @@
 
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,19 +66,25 @@ class TestFractionStrings:
             assert ser.parse_fraction(ser.fraction_str(value)) == value
 
 
-def _csv_text(columns, rows):
+def _csv_text(rows):
     buffer = io.StringIO()
-    ser.write_csv(columns, rows, buffer)
+    ser.write_csv(rows, buffer)
     return buffer.getvalue()
+
+
+_TRAJECTORY_HEADER = (
+    "n,variety_exact,variety_float,avg_length_exact,avg_length_float,"
+    "delta_variety_float,stage,constrained,hump"
+)
 
 
 class TestTrajectorySerialization:
     def test_golden_row(self):
         traj = cm.run_trajectory(ModelParams(1, None), n_max=3)
         rows = ser.trajectory_rows(points_exact=traj.points)
-        text = _csv_text(ser.TRAJECTORY_COLUMNS, rows)
+        text = _csv_text(rows)
         lines = text.splitlines()
-        assert lines[0] == ",".join(ser.TRAJECTORY_COLUMNS)
+        assert lines[0] == _TRAJECTORY_HEADER
         assert lines[4] == (
             "3,8/1,8.00000000000,3/2,1.50000000000,8.00000000000,developing,false,false"
         )
@@ -85,7 +92,7 @@ class TestTrajectorySerialization:
     def test_n_zero_single_row(self):
         traj = cm.run_trajectory(ModelParams(1, None), n_max=0)
         rows = ser.trajectory_rows(points_exact=traj.points)
-        text = _csv_text(ser.TRAJECTORY_COLUMNS, rows)
+        text = _csv_text(rows)
         lines = text.splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("0,1/1,")
@@ -93,7 +100,7 @@ class TestTrajectorySerialization:
     def test_csv_round_trip_recovers_exact_fields(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4), n_max=14)
         rows = ser.trajectory_rows(points_exact=traj.points)
-        text = _csv_text(ser.TRAJECTORY_COLUMNS, rows)
+        text = _csv_text(rows)
         parsed = ser.read_trajectory_csv(io.StringIO(text))
         assert [row["variety_exact"] for row in parsed] == [p.variety for p in traj.points]
         assert [row["avg_length_exact"] for row in parsed] == [
@@ -121,7 +128,7 @@ class TestTrajectorySerialization:
         traj = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=6)
         rows = ser.trajectory_rows(points_log=traj.points)
         assert rows[0]["variety_exact"] is None
-        text = _csv_text(ser.TRAJECTORY_COLUMNS, rows)
+        text = _csv_text(rows)
         assert text.splitlines()[1].split(",")[1] == ""
 
     def test_both_backends_zip_into_one_table(self):
@@ -134,9 +141,7 @@ class TestTrajectorySerialization:
     def test_deterministic_bytes(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4), n_max=10)
         rows = ser.trajectory_rows(points_exact=traj.points)
-        assert _csv_text(ser.TRAJECTORY_COLUMNS, rows) == _csv_text(
-            ser.TRAJECTORY_COLUMNS, rows
-        )
+        assert _csv_text(rows) == _csv_text(rows)
 
 
 class TestFigureSerialization:
@@ -162,3 +167,49 @@ class TestFigureSerialization:
         payload = ser.figure_json_payload(fig)
         assert payload["markers"] == {"constrained_from": 6}
         assert payload["series"][0]["points"][3]["variety_exact"] == "8/1"
+
+
+def _points(backend):
+    return cm.run_trajectory(ModelParams("1/2", 3, backend), n_max=6).points
+
+
+#: table -> (a function building its rows, the CSV header the README lists)
+_TABLES = {
+    "trajectory-exact": (
+        lambda: ser.trajectory_rows(points_exact=_points(cm.EXACT)), _TRAJECTORY_HEADER
+    ),
+    "trajectory-log": (
+        lambda: ser.trajectory_rows(points_log=_points(LOGFLOAT)), _TRAJECTORY_HEADER
+    ),
+    "trajectory-both": (
+        lambda: ser.trajectory_rows(_points(cm.EXACT), _points(LOGFLOAT)), _TRAJECTORY_HEADER
+    ),
+    "sweep": (
+        lambda: ser.sweep_rows(cm.sweep_range(Fraction(1, 2), [2, None], n_max=6)),
+        "r," + _TRAJECTORY_HEADER,
+    ),
+    "figure": (
+        lambda: ser.figure_rows(cm.figure_dataset(2, n_max=40)),
+        "figure,series,n,variety_exact,variety_float,avg_length_exact,avg_length_float,marker",
+    ),
+    "oracle": (
+        lambda: ser.oracle_rows(cm.validate_expectations(4, "1/2", 2, trials=30)),
+        "stat,expected,empirical,zscore",
+    ),
+    "validate": (
+        lambda: ser.validate_rows([cm.cross_validate(n, "1/2", 2) for n in range(5)]),
+        "n,r,rho,variety_rel_dev,avg_length_rel_dev,ok",
+    ),
+    "hump": (lambda: [ser.hump_payload(Fraction(1, 2), 3, 20, None)], "rho,r,n_max,onset"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_rows_share_one_key_tuple_and_the_readme_header(table):
+    build, header = _TABLES[table]
+    rows = build()
+    assert len(rows) > 1 or table == "hump"
+    assert {tuple(row) for row in rows} == {tuple(header.split(","))}
+    assert _csv_text(rows).splitlines()[0] == header
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"\n{header}\n" in readme
