@@ -43,7 +43,9 @@ log front factor (three ``lgamma`` calls) times a continued fraction.  Its
 cost does not depend on ``r``: the fraction takes a few iterations on most
 points and O(sqrt(n)) at worst.  The backend trades exactness for
 constant-size numbers and is meant for large ``n`` and fast sweeps;
-`cross_validate` measures its deviation from the exact backend.
+`cross_validate` measures its deviation from the exact backend.  Both
+backends decide the hump with one exact integer test, `_hump`, that reads no
+window sum, so its cost does not grow with ``n``.
 
 All functions are pure and share no state: each call walks its own sequence.
 """
@@ -66,10 +68,6 @@ BACKENDS = (EXACT, LOGFLOAT)
 
 #: Product range wide enough to never bind (alias for ``None``).
 UNBOUNDED = None
-
-#: Log-domain comparisons closer than this (relative) fall back to the exact
-#: backend, so the hump boundary can never be misclassified by rounding.
-HUMP_DEFER_RTOL = 1e-12
 
 Range = int | None
 Scalar = Fraction | LogScalar
@@ -201,6 +199,28 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
     return n * log1p_rho + math.log1p(-math.exp(tail - n * log1p_rho))
 
 
+def _hump(n: int, r: int, p: int, q: int) -> bool:
+    """Exactly whether ``S(n) = sum_{j=0}^{r} C(n, j) / C(n, r) * rho**(r+1-j) < 1``.
+
+    For ``r < n`` this is the hump criterion divided by its right side.  The
+    terms are summed from ``j = r`` (term ``rho``) down: term ``j - 1`` is
+    term ``j`` times ``u/v = j*p / (q*(n-j+1))``, a ratio that shrinks as
+    ``j`` falls, so once ``u < v`` the rest is at most term ``j`` times
+    ``u / (v - u)`` (a geometric tail; Feller, vol. I, VI.3).  The sum stops
+    once the partial sum ``t/d`` reaches 1 or stays below 1 with that bound
+    added; only an exact tie reads every term.  ``a/d`` is the last term.
+    """
+    a, t, d = p, p, q
+    for j in range(r, 0, -1):
+        if t >= d:
+            return False
+        u, v = j * p, q * (n - j + 1)
+        if u < v and t * (v - u) + a * u < d * (v - u):
+            return True
+        a, t, d = a * u, t * v + a * u, d * v
+    return t < d
+
+
 def _log_sub(a: float, b: float) -> LogScalar:
     """``exp(a) - exp(b)`` from two log magnitudes, signed, with no overflow."""
     if a == b:
@@ -296,17 +316,7 @@ class _WindowSums:
         return _log_sub(self._log_variety(n + 1), current)
 
     def hump(self, n: int) -> bool:
-        r = self.r
-        if not self.binds(n):
-            return False
-        if self.exact:
-            current = self.term(n)
-            return self.term(n + 1) < self.q * current
-        lhs = self.term(n)
-        rhs = _log_binomial(n, r) + (n - r - 1) * self.log_rho
-        if abs(lhs - rhs) <= HUMP_DEFER_RTOL * max(1.0, abs(lhs), abs(rhs)):
-            return _WindowSums(self.params._replace(backend=EXACT)).hump(n)
-        return lhs < rhs
+        return self.binds(n) and _hump(n, self.r, self.p, self.q)
 
     def stage(self, n: int) -> Stage:
         if not self.binds(n):
@@ -359,8 +369,9 @@ def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = E
     step from ``n = r`` can still lose variety when
     ``rho * (1 + rho)**r < 1``.
 
-    In the log backend, comparisons within ``HUMP_DEFER_RTOL`` fall back to
-    the exact backend so the boundary is never decided by rounding.
+    Both backends decide it with one exact integer test, `_hump`, on that
+    closed form divided by its right side: no rounding, no window sum, and a
+    cost that does not grow with ``n``.
     """
     return _window_sums(n, ModelParams(rho, r, backend)).hump(n)
 

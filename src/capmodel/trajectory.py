@@ -99,15 +99,20 @@ def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
 def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     """Smallest n <= n_max where variety declines at the next step, or None.
 
-    Scanned with the exact backend.  The condition is defined False for
-    r >= n, so the scan starts at n = r + 1.
+    The condition is defined False for r >= n and never reverts once it holds
+    (see the module docstring), so the onset is bisected in r + 1..n_max with
+    the exact test `core._hump`, in O(log n_max) tests and no walk.
     """
     if r is UNBOUNDED:
         raise DomainError("r must be a bounded nonnegative integer, got UNBOUNDED")
     sums = _window_sums(n_max, ModelParams(rho, r), "n_max")
     if n_max < r + 1:
         raise DomainError(f"n_max must be at least r + 1 = {r + 1}, got {n_max!r}")
-    return next((n for n in range(r + 1, n_max + 1) if sums.hump(n)), None)
+    lo, hi = r + 1, n_max + 1  # plain ints: bisect over a range overflows past sys.maxsize
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if sums.hump(mid) else (mid + 1, hi)
+    return lo if lo <= n_max else None
 
 
 def sweep_range(

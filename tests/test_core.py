@@ -1,12 +1,13 @@
 """Spot checks of every closed-form operation against hand-computed values."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 import capmodel as cm
-from capmodel import EXACT, LOGFLOAT, UNBOUNDED, Stage
+from capmodel import EXACT, LOGFLOAT, UNBOUNDED, Stage, core
 
 HALF = Fraction(1, 2)
 
@@ -154,6 +155,37 @@ class TestHumpCondition:
                     assert cm.hump_condition(n, rho, r, LOGFLOAT) == cm.hump_condition(
                         n, rho, r, EXACT
                     )
+
+    def test_single_test_matches_the_exact_walk_on_a_grid(self):
+        # core._hump against N_{n+1} < q * N_n, on 22 rho x 30 r x 89 n = 58,740 points
+        started = time.perf_counter()
+        rhos = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1, q + 1)})
+        points = 0
+        for rho in rhos:
+            p, q = rho.numerator, rho.denominator
+            for r in range(30):
+                sums = core._WindowSums(cm.ModelParams(rho, r))
+                for n in range(r + 1, r + 90):
+                    declines = sums.term(n + 1) < q * sums.term(n)
+                    assert core._hump(n, r, p, q) is declines, (rho, r, n)
+                    points += 1
+        assert points == 58_740
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"grid took {elapsed:.2f}s, budget 1s"
+
+    def test_decided_without_a_walk_or_a_window_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the hump test read a window sum")
+
+        monkeypatch.setattr(core._WindowSums, "_walk_to", refuse)
+        monkeypatch.setattr(core, "_log_window_sum", refuse)
+        for backend in (EXACT, LOGFLOAT):
+            assert cm.hump_condition(99997, "1/2", 50000, backend) is False
+            assert cm.classify_stage(99997, "1/2", 50000, backend) is Stage.TRANSITIONING
+        assert cm.hump_condition(10**160, "1/2", 5, LOGFLOAT) is True
+        assert cm.find_hump_onset(20000, "1/2", 50000) == 39998
+        assert cm.find_hump_onset(5, "1/2", 10**30) == 8
+        assert cm.find_hump_onset(4, 1, 10**30) is None
 
 
 class TestClassifyStage:

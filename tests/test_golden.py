@@ -76,6 +76,9 @@ COMMANDS = [
     # a long validation run, and a point just past the hump where the log delta cancels most
     ["validate", "--rho", "3/4", "--r", "200", "--n-max", "600", "--format", "json"],
     ["eval", "--rho", "3/4", "--r", "300", "--n", "1198", "--backend", "both"],
+    # a wide-range onset and a log point just before it, both far past small n
+    ["hump", "--rho", "1/2", "--r", "20000", "--n-max", "50000"],
+    ["eval", "--rho", "1/2", "--r", "50000", "--n", "99997", "--backend", "logfloat"],
 ]
 
 # Paths the list above does not reach: usage and I/O errors, output to

@@ -102,15 +102,33 @@ class TestFindHumpOnset:
     def test_wide_range_onset_matches_log_backend_scan(self):
         onset = cm.find_hump_onset(30, HALF, 500)
         assert onset is not None and onset > 31
-        log_scan = next(
-            n for n in range(31, 501) if cm.hump_condition(n, HALF, 30, LOGFLOAT)
-        )
-        assert log_scan == onset
+        points = cm.run_trajectory(ModelParams(HALF, 30), n_max=500).points
+        first_decline = next(p.n for p in points if p.constrained and p.delta_variety < 0)
+        assert first_decline == onset
 
     def test_onset_is_first_true(self):
         onset = cm.find_hump_onset(9, HALF, 400)
         assert cm.hump_condition(onset, HALF, 9)
         assert not cm.hump_condition(onset - 1, HALF, 9)
+
+    @pytest.mark.parametrize("rho", ["1/10", "1/8", "1/3", "1/2", "2/3", "3/4", "7/8", "9/10"])
+    def test_onset_within_the_tail_bound_bracket(self, rho):
+        # S(n) <= rho / (1 - t) with t = r*rho / (n-r+1) puts the onset at or
+        # below n_hi = max(r + 1, floor(r*q / (q-p)))
+        p, q = Fraction(rho).numerator, Fraction(rho).denominator
+        for r in range(0, 3000, 29):
+            n_hi = max(r + 1, r * q // (q - p))
+            onset = cm.find_hump_onset(r, rho, n_hi)
+            assert onset is not None and r + 1 <= onset <= n_hi, (r, onset, n_hi)
+
+    def test_onset_closed_form(self):
+        started = time.perf_counter()
+        for rho in ("1/2", "2/3", "3/4", "9/10"):
+            p, q = Fraction(rho).numerator, Fraction(rho).denominator
+            for r in range(4, 3000, 7):
+                assert cm.find_hump_onset(r, rho, 10 * r) == r * q // (q - p) - 2, (rho, r)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"onsets took {elapsed:.2f}s, budget 1s"
 
     def test_requires_scan_room(self):
         with pytest.raises(cm.DomainError):
