@@ -174,8 +174,8 @@ def _beta_cf(a: int, b: int, x: float) -> float:
 
 
 def _log_rho(p: int, q: int) -> float:
-    """log rho for rho = p/q."""
-    return math.log(p) - math.log(q)
+    """log rho for rho = p/q; ``log1p`` keeps rho near 1 free of cancellation."""
+    return math.log1p((p - q) / q) if 2 * p > q else math.log(p) - math.log(q)
 
 
 def _log_window_sum(n: int, width: int, p: int, q: int) -> float:

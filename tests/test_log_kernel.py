@@ -97,3 +97,11 @@ def test_n_past_the_limit_is_a_domain_error(capsys):
     assert captured.err == (
         "error: n must be at most 1e+300 on the logfloat backend, got an integer of 1030 bits\n"
     )
+
+
+def test_log_rho_near_one_has_no_cancellation():
+    # log(999/1000) = -sum_k (1/1000)**k / k (Mercator); 12 terms leave < 1e-36
+    series = -sum(Fraction(1, 1000**k * k) for k in range(1, 13))
+    assert abs(core._log_rho(999, 1000) / float(series) - 1) <= 1e-15
+    # far below rho ~ 1e-16, (p - q) / q rounds to -1.0, where log1p would raise
+    assert math.isfinite(core._log_rho(1, 10**400))
