@@ -32,9 +32,18 @@ step identity above by ``q**(n+1)`` gives
 
 started from the closed form ``(p + q)**min(n, r)``, so each step is one
 big-integer multiply-subtract and every identity holds with zero tolerance.
+
+Two of the three exact values need no gcd.  Modulo ``q`` the start
+``(p + q)**j`` is ``p**j``, and each step multiplies by ``p + q``, which is
+``p``, and subtracts a multiple of ``q``; so ``N_n = p**n (mod q)``.  As
+``p`` and ``q`` are coprime, ``variety = N_n / q**n`` is in lowest terms,
+and so is ``delta = (N_{n+1} - q * N_n) / q**(n+1)``, whose numerator is
+``p**(n+1) (mod q)``: `_coprime` builds both as they are.  No such argument
+covers ``avg_length = n * p * N_{n-1} / N_n``, which keeps its gcd.
+
 The log-domain backend (`LogScalar`) computes each window sum on its own
-instead: run in floating point, the recurrence cancels once the hump has
-passed.  With ``x = rho / (1 + rho)`` the window sum is a binomial tail,
+instead of walking: run in floating point, the recurrence cancels once the
+hump has passed.  With ``x = rho / (1 + rho)`` the window sum is a binomial tail,
 
     variety(n, r) = (1 + rho)**n * I_x(n - r, r + 1)        (r < n)
 
@@ -221,6 +230,18 @@ def _hump(n: int, r: int, p: int, q: int) -> bool:
     return t < d
 
 
+def _coprime(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` without the gcd, for coprime ``num`` and ``den > 0``.
+
+    It sets the two slots that every Python from 3.10 to 3.13 gives
+    `Fraction`, as 3.12's ``Fraction._from_coprime_ints`` does; 3.10 and
+    3.11 have ``_normalize=False`` instead, so neither spelling serves all four.
+    """
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
 def _log_sub(a: float, b: float) -> LogScalar:
     """``exp(a) - exp(b)`` from two log magnitudes, signed, with no overflow."""
     if a == b:
@@ -290,14 +311,14 @@ class _WindowSums:
 
     def variety(self, n: int) -> Scalar:
         if self.exact:
-            return Fraction(self.term(n), self.q**n)
+            return _coprime(self.term(n), self.q**n)
         return LogScalar.from_log(self._log_variety(n))
 
     def avg_length(self, n: int) -> Scalar:
         p, q = self.p, self.q
         if n == 0:
             return Fraction(0) if self.exact else LogScalar.zero()
-        if self.exact:  # common powers of q cancel between the two window sums
+        if self.exact:  # powers of q cancel; other common factors need the gcd
             previous = self.term(n - 1)
             return Fraction(n * p * previous, self.term(n))
         if not self.binds(n):
@@ -309,7 +330,7 @@ class _WindowSums:
         p, q = self.p, self.q
         if self.exact:
             current = self.term(n)
-            return Fraction(self.term(n + 1) - q * current, q ** (n + 1))
+            return _coprime(self.term(n + 1) - q * current, q ** (n + 1))
         if not self.binds(n + 1):
             return LogScalar.from_log(self.log_rho + n * math.log1p(p / q))
         current = self._log_variety(n)

@@ -1,10 +1,12 @@
 """Structured text output: canonical rationals, 12-digit decimals, CSV/JSON.
 
 Exact columns carry canonical rational strings ``p/q`` and round-trip
-losslessly.  Float columns carry decimal renderings with exactly 12
-significant digits (positional for exponents in [-4, 16), scientific
-otherwise), computed with integer arithmetic so identical inputs always
-produce identical bytes.
+losslessly; integers past the ``str``/``int`` digit limit (4300 by default)
+are split in halves by ``10**k``, as in gh-90716.  Float columns carry 12
+significant digits (positional for exponents in [-4, 16), else scientific),
+rounded half to even from the exact value: by the correctly rounded ``dtoa``
+of ``format(x, ".11e")`` for a double (Gay 1990), by one integer division
+for a rational.  Identical inputs always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import json
 import math
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import IO
 
 from .core import EXACT, Range, Stage, UNBOUNDED
@@ -25,16 +27,34 @@ from .scalars import LogScalar
 _LN10 = math.log(10.0)
 _LOG10_2 = math.log10(2.0)
 _SIG = 12
+_LOW, _HIGH = 10 ** (_SIG - 1), 10**_SIG  # the 12-digit integers
 _CANONICAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 
-def fraction_str(value: Fraction) -> str:
-    """Canonical rational string, always with an explicit denominator.
+def _int_str(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # past the digit limit
+        if value < 0:
+            return "-" + _int_str(-value)
+    k = int(value.bit_length() * _LOG10_2) // 2
+    high, low = divmod(value, 10**k)
+    return _int_str(high) + _int_str(low).zfill(k)
 
-    Digits go through `decimal`, which converts integers of any length;
-    ``str()`` refuses those past the interpreter's 4300-digit limit.
-    """
-    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+def _str_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the digit limit; `_CANONICAL` vetted the digits
+        if digits[0] == "-":
+            return -_str_int(digits[1:])
+    k = len(digits) // 2
+    return _str_int(digits[:-k]) * 10**k + _str_int(digits[-k:])
+
+
+def fraction_str(value: Fraction) -> str:
+    """Canonical rational string, always with an explicit denominator."""
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -42,46 +62,11 @@ def parse_fraction(text: str) -> Fraction:
     if not _CANONICAL.fullmatch(text):
         raise ValueError(f"not a canonical rational string: {text!r}")
     numerator, denominator = text.split("/")
-    return Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+    return Fraction(_str_int(numerator), _str_int(denominator))
 
 
 def range_str(r: Range) -> str:
     return "unbounded" if r is UNBOUNDED else str(r)
-
-
-def _pow10_compare(num: int, den: int, e: int) -> int:
-    """Sign of num/den - 10**e for positive num, den."""
-    if e >= 0:
-        lhs, rhs = num, den * 10**e
-    else:
-        lhs, rhs = num * 10**-e, den
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def _floor_log10(num: int, den: int) -> int:
-    # num/den lies within a factor 2 of 2**(bit lengths' difference)
-    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
-    while _pow10_compare(num, den, e) < 0:
-        e -= 1
-    while _pow10_compare(num, den, e + 1) >= 0:
-        e += 1
-    return e
-
-
-def _round_digits(num: int, den: int, e: int) -> tuple[int, int]:
-    """First 12 significant digits of num/den (half-even), with exponent fixup."""
-    shift = _SIG - 1 - e
-    if shift >= 0:
-        a, b = num * 10**shift, den
-    else:
-        a, b = num, den * 10**-shift
-    q, rem = divmod(a, b)
-    if 2 * rem > b or (2 * rem == b and q % 2 == 1):
-        q += 1
-    if q >= 10**_SIG:
-        q //= 10
-        e += 1
-    return q, e
 
 
 def _place_digits(digits: str, e: int) -> str:
@@ -94,14 +79,34 @@ def _place_digits(digits: str, e: int) -> str:
     return digits[0] + "." + digits[1:] + f"e{e:+d}"
 
 
-def _format_fraction(value: Fraction) -> str:
-    if value == 0:
+def _format_fraction(value) -> str:
+    """12 digits of an int or `Fraction`, from its numerator and denominator."""
+    num, den = value.numerator, value.denominator
+    if num == 0:
         return "0.00000000000"
-    sign = "-" if value < 0 else ""
-    num, den = abs(value).numerator, abs(value).denominator
-    e = _floor_log10(num, den)
-    q, e = _round_digits(num, den, e)
+    sign, num = ("-", -num) if num < 0 else ("", num)
+    # num/den lies within a factor 2 of 2**(the bit lengths' difference), so
+    # e misses floor(log10(num/den)) by at most one; a quotient of 11 or 13
+    # digits shows which way, and the division is redone
+    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
+    while True:
+        shift = _SIG - 1 - e
+        a, b = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+        q, rem = divmod(a, b)
+        if _LOW <= q < _HIGH:
+            break
+        e += 1 if q >= _HIGH else -1
+    if 2 * rem > b or (2 * rem == b and q % 2 == 1):
+        q += 1
+        if q == _HIGH:
+            q, e = _LOW, e + 1
     return sign + _place_digits(str(q), e)
+
+
+def _format_float(value: float) -> str:
+    mantissa, _, exponent = format(value, ".11e").partition("e")
+    sign = "-" if value < 0 else ""  # not for -0.0
+    return sign + _place_digits(mantissa.lstrip("-").replace(".", ""), int(exponent))
 
 
 def _format_logscalar(value: LogScalar) -> str:
@@ -109,30 +114,28 @@ def _format_logscalar(value: LogScalar) -> str:
         return "0.00000000000"
     as_float = value.to_float()
     if sys.float_info.min <= abs(as_float) < math.inf:
-        return _format_fraction(Fraction(as_float))
+        return _format_float(as_float)
     # beyond the normal doubles (subnormals carry fewer than 53 bits):
     # digits straight from the log-domain magnitude
     sign = "-" if value.sign < 0 else ""
     l10 = value.log_abs / _LN10
     e = math.floor(l10)
     mantissa = 10.0 ** (l10 - e)
-    q = round(mantissa * 10 ** (_SIG - 1))
-    if q >= 10**_SIG:
+    q = round(mantissa * _LOW)
+    if q >= _HIGH:  # 10.0 ** (l10 - e) lies in [1, 10], so q is at least _LOW
         q //= 10
         e += 1
-    if q < 10 ** (_SIG - 1):
-        q = 10 ** (_SIG - 1)
     return sign + _place_digits(str(q), e)
 
 
 def format_sig12(value) -> str:
     """Decimal string with exactly 12 significant digits."""
+    if isinstance(value, float):
+        return _format_float(value) if math.isfinite(value) else str(value)
     if isinstance(value, LogScalar):
         return _format_logscalar(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
-        return _format_fraction(Fraction(value))
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return _format_fraction(value)
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
@@ -145,12 +148,22 @@ def _cell(value) -> str:
 
 
 def write_csv(rows: list[dict], stream: IO[str]) -> None:
-    """Write a table of row dicts; the keys of the first row are the header."""
+    """Write a table of row dicts; the keys of the first row are the header.
+
+    Each row is joined with commas and written as it comes.  A row that
+    `csv.writer` would quote or reject goes through it, so the bytes are its.
+    """
     columns = list(rows[0])
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[col]) for col in columns])
+    for cells in chain([columns], ([_cell(row[col]) for col in columns] for row in rows)):
+        line = ",".join(cells)
+        # quotes, line breaks, NUL (3.10 rejects it), a stray comma, one empty cell
+        if '"' in line or "\n" in line or "\r" in line or "\0" in line or (
+            line.count(",") != len(columns) - 1 or not line
+        ):
+            writer.writerow(cells)
+        else:
+            stream.write(line + "\n")
 
 
 def write_json(payload, stream: IO[str]) -> None:
@@ -186,19 +199,16 @@ def trajectory_rows(points_exact=None, points_log=None) -> list[dict]:
             raise ValueError("exact and log point sequences must cover the same n values")
     primary = points_exact if points_exact is not None else points_log
     float_source = points_log if points_log is not None else points_exact
-    rows = []
-    for base, fp in zip(primary, float_source):
-        exact = base if points_exact is not None else None
-        rows.append(
-            {
-                **_point_cells(exact, fp),
-                "delta_variety_float": format_sig12(fp.delta_variety),
-                "stage": base.stage.value,
-                "constrained": base.constrained,
-                "hump": base.stage is Stage.DEVELOPED,
-            }
-        )
-    return rows
+    return [
+        {
+            **_point_cells(base if points_exact is not None else None, fp),
+            "delta_variety_float": format_sig12(fp.delta_variety),
+            "stage": base.stage.value,
+            "constrained": base.constrained,
+            "hump": base.stage is Stage.DEVELOPED,
+        }
+        for base, fp in zip(primary, float_source)
+    ]
 
 
 def trajectory_json_payload(params, rows: list[dict], trajectory=None) -> dict:
@@ -260,11 +270,11 @@ def _rows_for_trajectory(traj) -> list[dict]:
 
 
 def sweep_rows(trajectories) -> list[dict]:
-    rows = []
-    for traj in trajectories:
-        for row in _rows_for_trajectory(traj):
-            rows.append({"r": range_str(traj.params.r), **row})
-    return rows
+    return [
+        {"r": range_str(traj.params.r), **row}
+        for traj in trajectories
+        for row in _rows_for_trajectory(traj)
+    ]
 
 
 def sweep_json_payload(rho: Fraction, trajectories) -> dict:
@@ -328,32 +338,20 @@ def figure_json_payload(fig: FigureData) -> dict:
 
 
 def oracle_rows(report) -> list[dict]:
-    rows = [
-        {
-            "stat": f"length_{s}",
-            "expected": format_sig12(report.per_length_expected[s]),
-            "empirical": format_sig12(report.per_length_empirical[s]),
-            "zscore": format_sig12(report.per_length_zscores[s]),
-        }
+    stats = [
+        (f"length_{s}", report.per_length_expected[s], report.per_length_empirical[s],
+         report.per_length_zscores[s])
         for s in range(report.n + 1)
     ]
-    rows.append(
-        {
-            "stat": "variety",
-            "expected": format_sig12(report.expected_variety),
-            "empirical": format_sig12(report.empirical_variety),
-            "zscore": format_sig12(report.variety_zscore),
-        }
-    )
-    rows.append(
-        {
-            "stat": "avg_length",
-            "expected": format_sig12(report.expected_avg_length),
-            "empirical": format_sig12(report.empirical_avg_length),
-            "zscore": format_sig12(report.avg_length_zscore),
-        }
-    )
-    return rows
+    stats.append(("variety", report.expected_variety, report.empirical_variety,
+                  report.variety_zscore))
+    stats.append(("avg_length", report.expected_avg_length, report.empirical_avg_length,
+                  report.avg_length_zscore))
+    return [
+        {"stat": stat, "expected": format_sig12(expected),
+         "empirical": format_sig12(empirical), "zscore": format_sig12(zscore)}
+        for stat, expected, empirical, zscore in stats
+    ]
 
 
 def oracle_json_payload(report) -> dict:

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import capmodel as cm
 from capmodel import EXACT, LOGFLOAT, UNBOUNDED, Stage, core
@@ -256,3 +258,35 @@ class TestCrossValidate:
         assert math.isclose(
             check.variety_log.to_float(), float(check.variety_exact), rel_tol=1e-12
         )
+
+
+class TestLowestTerms:
+    """Exact variety and delta come out in lowest terms without a gcd.
+
+    ``N_n = p**n (mod q)``, so ``N_n / q**n`` and the delta, whose numerator
+    is ``p**(n+1) (mod q)``, are already reduced; `core._coprime` relies on it.
+    """
+
+    RHOS = [Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1) if math.gcd(p, q) == 1]
+
+    @pytest.mark.parametrize("r", [None, 0, 1, 5, 30])
+    def test_variety_and_delta_reduced(self, r):
+        for rho in self.RHOS:
+            for point in cm.run_trajectory(cm.ModelParams(rho, r), n_max=200).points:
+                for value in (point.variety, point.delta_variety):
+                    assert math.gcd(value.numerator, value.denominator) == 1, (rho, r, point.n)
+                    assert value.denominator > 0
+
+    def test_zero_delta_is_canonical(self):
+        delta = cm.variety_delta(7, 1, 0)
+        assert delta == 0 and (delta.numerator, delta.denominator) == (0, 1)
+
+    @given(st.integers(), st.integers(min_value=1))
+    def test_coprime_equals_and_hashes_like_fraction(self, num, den):
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        value, reference = core._coprime(num, den), Fraction(num, den)
+        assert value == reference and hash(value) == hash(reference)
+        assert (value.numerator, value.denominator) == (reference.numerator, reference.denominator)
+        if den == 1:
+            assert value == num and hash(value) == hash(num)

@@ -9,6 +9,7 @@ interpreter shows that importing the package, and every command but
 guard compares with the modules present before the import.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -89,3 +90,14 @@ def test_oracle_process_matches_in_process(tmp_path, capsys):
     assert main([*ORACLE, "--out", str(tmp_path / "inline.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+def test_package_does_not_import_decimal():
+    # `fractions` itself imports `decimal` on 3.10-3.13, so the guard above
+    # cannot keep it out of sys.modules; no capmodel module may need it
+    for path in sorted((SRC / "capmodel").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+        assert "decimal" not in imported, path.name

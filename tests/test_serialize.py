@@ -1,10 +1,15 @@
 """Formatting and round-trip guarantees of the CSV/JSON writers."""
 
+import csv
 import io
+import sys
+from decimal import ROUND_HALF_EVEN, Context, Decimal, MAX_EMAX, MIN_EMIN
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import capmodel as cm
 from capmodel import LOGFLOAT, ModelParams
@@ -56,6 +61,59 @@ class TestFormatSig12:
         assert ser.format_sig12(LogScalar.zero()) == "0.00000000000"
 
 
+#: 12 significant digits, rounded half to even, at any exponent
+_SIG12 = Context(prec=12, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+class TestRenderingRoutes:
+    """The double route (``dtoa``) and the rational route (one division)."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(1234567890125.0)  # a tie, rounded down to even
+    @example(1234567890135.0)  # a tie, rounded up to even
+    @example(1.25e-300)
+    @example(5e-324)
+    @example(-2.5e-320)
+    @example(sys.float_info.min)
+    @example(sys.float_info.max)
+    @example(-0.0)
+    def test_float_route_matches_exact_rendering(self, x):
+        assert ser.format_sig12(x) == ser._format_fraction(Fraction(x))
+
+    @given(
+        st.one_of(st.integers(), st.integers(min_value=-(2**5000), max_value=2**5000)),
+        st.one_of(st.integers(min_value=1), st.integers(min_value=1, max_value=2**5000)),
+    )
+    @example(2**4000 + 1, 3**2000)
+    def test_fraction_route_matches_decimal(self, num, den):
+        self._check(Fraction(num, den))
+
+    @pytest.mark.parametrize("k", [-40, -5, -4, 0, 1, 11, 12, 15, 16, 17, 300])
+    def test_at_and_just_below_powers_of_ten(self, k):
+        power = Fraction(10) ** k
+        for value in (
+            power,
+            power * (1 - Fraction(1, 10**12)),  # twelve nines: stays below
+            power * (1 - Fraction(1, 10**13)),  # rounds up: the exponent steps
+            power * (1 - Fraction(5, 10**13)),  # a tie, rounded up to the even power
+            power * (1 - Fraction(15, 10**13)),  # a tie, rounded down to even ...998
+            power * (1 - Fraction(1, 10**40)),
+        ):
+            self._check(value)
+            self._check(-value)
+
+    @staticmethod
+    def _check(value):
+        text = ser.format_sig12(value)
+        if value == 0:
+            assert text == "0.00000000000"
+            return
+        expected = _SIG12.divide(Decimal(value.numerator), Decimal(value.denominator))
+        assert Decimal(text) == expected, (value, text)
+        mantissa = text.partition("e")[0].lstrip("-").replace(".", "").lstrip("0")
+        assert len(mantissa) >= 12 and mantissa[12:].strip("0") == ""
+
+
 class TestFractionStrings:
     def test_always_carries_denominator(self):
         assert ser.fraction_str(Fraction(8)) == "8/1"
@@ -65,11 +123,53 @@ class TestFractionStrings:
         for value in (Fraction(8), Fraction(-5, 16), Fraction(10**40, 3**20)):
             assert ser.parse_fraction(ser.fraction_str(value)) == value
 
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 20000])
+    def test_round_trip_past_the_digit_limit(self, digits):
+        # 3**k has no trailing zeros, so the split must pad its lower halves
+        numerator = 10 ** (digits - 1) + 7 * 10 ** (digits // 2) + 3**20
+        for value in (Fraction(numerator, 7), Fraction(-numerator, 10**digits + 1)):
+            text = ser.fraction_str(value)
+            head, _, tail = text.partition("/")
+            assert len(head.lstrip("-")) == digits
+            assert (head[0] == "-") == (value < 0)
+            assert ser.parse_fraction(text) == value
+            assert text == f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
 
 def _csv_text(rows):
     buffer = io.StringIO()
     ser.write_csv(rows, buffer)
     return buffer.getvalue()
+
+
+def _outcome(write, rows):
+    """The bytes ``write`` produces for ``rows``, or the csv.Error it raises."""
+    buffer = io.StringIO()
+    try:
+        write(rows, buffer)
+    except csv.Error as exc:
+        return type(exc)
+    return buffer.getvalue()
+
+
+def _csv_writer(rows, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    writer.writerows([["" if v is None else v for v in row.values()] for row in rows])
+
+
+@pytest.mark.parametrize(
+    "cell", ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "nul\0", "", ",", '"', " pad "]
+)
+@pytest.mark.parametrize("width", [1, 3])
+def test_write_csv_matches_csv_writer(cell, width):
+    columns = ["first", "second", "third"][:width]
+    rows = [
+        dict.fromkeys(columns, "x"),
+        dict.fromkeys(columns, cell),
+        {**dict.fromkeys(columns, 1), columns[0]: cell},
+    ]
+    assert _outcome(ser.write_csv, rows) == _outcome(_csv_writer, rows)
 
 
 _TRAJECTORY_HEADER = (
