@@ -231,7 +231,7 @@ def _read_config(path: str) -> dict:
             values = json.load(fh)
     except OSError as exc:
         raise UsageError(f"config: cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
         raise UsageError(f"config: invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError("config: top level must be a JSON object")
@@ -283,41 +283,23 @@ def _emit(config: RunConfig, rows, payload) -> None:
         print(f"wrote {path}")
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    return _write_points(config, lambda params: ((evaluate_point(params, config.n),), None))
+def _cmd_points(config: RunConfig) -> int:
+    """``eval`` (the point at n) or ``trajectory`` (n = 0..n-max), on one backend or both.
 
-
-def _cmd_trajectory(config: RunConfig) -> int:
-    def run(params):
-        trajectory = run_trajectory(params, config.n_max)
-        return trajectory.points, trajectory
-
-    return _write_points(config, run)
-
-
-def _write_points(config: RunConfig, run) -> int:
-    """Write the points ``run(params)`` returns for each requested backend.
-
-    ``run`` returns the points and the trajectory they belong to (or None);
-    with both backends the exact run supplies stages and landmarks.
+    With both, the exact points give the exact cells, the stages and the
+    landmarks, and the log points give the float cells.
     """
-    backends = (EXACT, LOGFLOAT) if config.backend == BOTH else (config.backend,)
-    results = {}
-    for backend in backends:
+    runs = []
+    for backend in (EXACT, LOGFLOAT) if config.backend == BOTH else (config.backend,):
         params = ModelParams(config.rho, config.r, backend)
-        results[backend] = (params, *run(params))
-    points = {backend: result[1] for backend, result in results.items()}
-    params, _, trajectory = results[backends[0]]
-
-    def rows():
-        return serialize.trajectory_rows(points.get(EXACT), points.get(LOGFLOAT))
-
-    def payload():
-        payload = serialize.trajectory_json_payload(params, rows(), trajectory)
-        payload["params"]["backend"] = config.backend
-        return payload
-
-    _emit(config, rows, payload)
+        trajectory = None if config.command == "eval" else run_trajectory(params, config.n_max)
+        points = (evaluate_point(params, config.n),) if trajectory is None else trajectory.points
+        runs.append((params, points, trajectory))
+    (params, points, trajectory), *logged = runs
+    rows = serialize.trajectory_rows(points, *(floats for _, floats, _ in logged))
+    payload = serialize.trajectory_json_payload(params, rows, trajectory)
+    payload["params"]["backend"] = config.backend
+    _emit(config, lambda: rows, lambda: payload)
     return 0
 
 
@@ -380,8 +362,8 @@ def _cmd_figures(config: RunConfig) -> int:
 
 
 _HANDLERS = {
-    "eval": _cmd_eval,
-    "trajectory": _cmd_trajectory,
+    "eval": _cmd_points,
+    "trajectory": _cmd_points,
     "sweep": _cmd_sweep,
     "hump": _cmd_hump,
     "oracle": _cmd_oracle,

@@ -56,7 +56,8 @@ constant-size numbers and is meant for large ``n`` and fast sweeps;
 backends decide the hump with one exact integer test, `_hump`, that reads no
 window sum, so its cost does not grow with ``n``.
 
-All functions are pure and share no state: each call walks its own sequence.
+All functions are pure and share no state: each call walks its own sequence
+forward and keeps only its latest three terms.
 """
 
 from __future__ import annotations
@@ -157,10 +158,11 @@ def _beta_cf(a: int, b: int, x: float) -> float:
     ``I_x(a, b) = x**a * (1-x)**b / (a * B(a, b)) * _beta_cf(a, b, x)``
     (Numerical Recipes, section 6.4, ``betacf``).  It converges fast for
     ``x < (a+1) / (a+b+2)``, in O(sqrt(max(a, b))) iterations at worst, so
-    the cap scales with ``a + b``; hitting it raises `ResourceLimitError`.
+    the cap scales with ``a + b`` up to ``2**40`` (about 1 s of iterations);
+    hitting it raises `ResourceLimitError`.
     """
     tiny = 1e-300  # stands in for a zero denominator
-    cap = 64 + math.isqrt(a + b)
+    cap = 64 + math.isqrt(min(a + b, 2**40))
     a, b = float(a), float(b)  # int products past 1e308 would not convert
     c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
     d = 1.0 / (d if abs(d) > tiny else tiny)
@@ -188,15 +190,13 @@ def _log_rho(p: int, q: int) -> float:
 
 
 def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
-    """log of sum_{s = n-width}^{n} C(n, s) rho**s, for 0 <= width and rho = p/q.
+    """log of sum_{s = n-width}^{n} C(n, s) rho**s, for 0 <= width < n and rho = p/q.
 
     With ``x = rho / (1 + rho)``, ``a = n - width`` and ``b = width + 1``, the
     sum is ``(1 + rho)**n * I_x(a, b)``, the regularized incomplete beta
     function: one `_log_binomial` and one `_beta_cf`, whatever the width.
     """
     log1p_rho = math.log1p(p / q)
-    if width >= n:
-        return n * log1p_rho
     a, b = n - width, width + 1
     # (1 + rho)**n * x**a * (1-x)**b / (a * B(a, b)) = C(n, width) * rho**a / (1 + rho)
     front = _log_binomial(n, width) + a * _log_rho(p, q) - log1p_rho
@@ -204,8 +204,42 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
     if x < (a + 1) / (a + b + 2):
         return front + math.log(_beta_cf(a, b, x))
     # the complement I_x(a, b) = 1 - I_{1-x}(b, a), whose front factor has b for a
-    tail = front + math.log(a / b) + math.log(_beta_cf(b, a, q / (p + q)))
-    return n * log1p_rho + math.log1p(-math.exp(tail - n * log1p_rho))
+    cf, total = _beta_cf(b, a, q / (p + q)), n * log1p_rho
+    tail = front + math.log(a / b) + math.log(cf) if cf > 0 else math.inf
+    if tail >= total:  # rounding in lgamma and the fraction, at n far past 53 bits
+        raise DomainError(
+            f"the {LOGFLOAT} backend cannot resolve this window sum at n of {n.bit_length()}"
+            " bits: rounding puts the complement of the window at or above the whole sum"
+        )
+    return total + math.log1p(-math.exp(tail - total))
+
+
+def _log_terms(k: int, r: Range, p: int, q: int):
+    """Yield log variety(n, r) for n = k, k + 1, ...: `_log_window_sum` where
+    the range binds, the closed form ``n * log(1 + rho)`` where it does not."""
+    log1p_rho = math.log1p(p / q)
+    while True:
+        yield _log_window_sum(k, r, p, q) if r is not UNBOUNDED and r < k else k * log1p_rho
+        k += 1
+
+
+def _exact_terms(k: int, r: Range, p: int, q: int):
+    """Yield ``N_k, N_{k+1}, ...`` for rho = p/q, walked from the closed form
+    ``N_j = (p + q)**j`` at ``j = min(k, r)``.
+
+    ``b`` is what step ``j`` subtracts, ``C(j, r) * p**(j-r) * q**(r+1)``
+    from ``j = r`` on; step ``j`` multiplies it by ``p*j / (j - r)``.
+    """
+    s, j = p + q, k if r is UNBOUNDED else min(k, r)
+    n_j, b = s**j, q ** (r + 1) if j == r else 0
+    while True:
+        if j >= k:
+            yield n_j
+        n_j, j = s * n_j - b, j + 1
+        if j == r:
+            b = q ** (r + 1)
+        elif b:
+            b = b * (p * j) // (j - r)
 
 
 def _hump(n: int, r: int, p: int, q: int) -> bool:
@@ -251,90 +285,54 @@ def _log_sub(a: float, b: float) -> LogScalar:
 
 
 class _WindowSums:
-    """The window sums of one `ModelParams`, read at increasing ``n``.
+    """The window sums of one `ModelParams`, read forward from ``first - 1``.
 
-    ``term(k)`` is ``N_k`` (exact) or ``log variety(k, r)`` from the
-    incomplete beta kernel `_log_window_sum` (log backend, read only for
-    ``k >= r``; below that the closed forms apply).  Each term is computed once and the latest three
-    are kept: the ``n - 1 .. n + 1`` a point reads.  Reading further back
-    restarts the walk.
+    ``term(k)`` is ``N_k`` from `_exact_terms` or ``log variety(k, r)`` from
+    `_log_terms`.  One stream yields the terms in order and only the latest
+    three are kept: the ``n - 1 .. n + 1`` a point reads.  Reading further
+    back is an ``IndexError``.  Opening the stream reads no term, so the hump
+    and the stage, which read none, cost no walk.
     """
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, first: int = 0):
         self.params, self.r, self.exact = params, params.r, params.backend == EXACT
         self.p, self.q = p, q = params.rho.numerator, params.rho.denominator
         self.log_rho = _log_rho(p, q)
-        self._terms: dict[int, int | float] = {}
-        self._k = -1  # the exact walk stands at (k, N_k, subtracted term of step k)
-        self._n = self._b = 0
+        self._next = max(first - 1, 0)  # the index of the term the stream yields next
+        self._stream = (_exact_terms if self.exact else _log_terms)(self._next, self.r, p, q)
+        self._last: tuple = ()  # the latest terms, oldest first
 
     def binds(self, n: int) -> bool:
         return self.r is not UNBOUNDED and self.r < n
 
     def term(self, k: int) -> int | float:
-        if k not in self._terms:
-            if self.exact:
-                self._walk_to(k)
-            else:
-                self._terms[k] = _log_window_sum(k, self.r, self.p, self.q)
-            if len(self._terms) > 3:
-                self._terms = {j: t for j, t in self._terms.items() if j >= k - 2}
-        return self._terms[k]
-
-    def _walk_to(self, k: int) -> None:
-        p, q, r = self.p, self.q, self.r
-        s, j = p + q, self._k
-        if not 0 <= j <= k:
-            j = k if r is UNBOUNDED else min(k, r)
-            self._n, self._b = s**j, q ** (r + 1) if j == r else 0
-        n_j, b_j = self._n, self._b
-        if r is not UNBOUNDED and r <= j < k - 3:
-            # the bulk of a long walk, without bookkeeping: step t multiplies
-            # the subtracted term by p*t / (t - r)
-            for grow, since in zip(range(p * (j + 1), p * (k - 2), p), range(j + 1 - r, k - 2 - r)):
-                n_j = s * n_j - b_j
-                b_j = b_j * grow // since
-            j = k - 3
-        self._terms[j] = n_j
-        while j < k:
-            n_j = s * n_j - b_j
-            j += 1
-            if j == r:
-                b_j = q ** (r + 1)
-            elif b_j:
-                b_j = b_j * (p * j) // (j - r)
-            self._terms[j] = n_j
-        self._k, self._n, self._b = j, n_j, b_j
-
-    def _log_variety(self, n: int) -> float:
-        return self.term(n) if self.binds(n) else n * math.log1p(self.p / self.q)
+        while self._next <= k:
+            self._last = (*self._last[-2:], next(self._stream))
+            self._next += 1
+        return self._last[k - self._next]
 
     def variety(self, n: int) -> Scalar:
         if self.exact:
             return _coprime(self.term(n), self.q**n)
-        return LogScalar.from_log(self._log_variety(n))
+        return LogScalar.from_log(self.term(n))
 
     def avg_length(self, n: int) -> Scalar:
         p, q = self.p, self.q
         if n == 0:
             return Fraction(0) if self.exact else LogScalar.zero()
         if self.exact:  # powers of q cancel; other common factors need the gcd
-            previous = self.term(n - 1)
-            return Fraction(n * p * previous, self.term(n))
+            return Fraction(n * p * self.term(n - 1), self.term(n))
         if not self.binds(n):
             return LogScalar.from_float(n * p / (p + q))
-        previous = self.term(n - 1)
-        return LogScalar.from_log(math.log(n) + self.log_rho + previous - self.term(n))
+        return LogScalar.from_log(math.log(n) + self.log_rho + self.term(n - 1) - self.term(n))
 
     def delta(self, n: int) -> Scalar:
         p, q = self.p, self.q
         if self.exact:
-            current = self.term(n)
-            return _coprime(self.term(n + 1) - q * current, q ** (n + 1))
+            return _coprime(self.term(n + 1) - q * self.term(n), q ** (n + 1))
         if not self.binds(n + 1):
             return LogScalar.from_log(self.log_rho + n * math.log1p(p / q))
-        current = self._log_variety(n)
-        return _log_sub(self._log_variety(n + 1), current)
+        return _log_sub(self.term(n + 1), self.term(n))
 
     def hump(self, n: int) -> bool:
         return self.binds(n) and _hump(n, self.r, self.p, self.q)
@@ -345,15 +343,15 @@ class _WindowSums:
         return Stage.DEVELOPED if self.hump(n) else Stage.TRANSITIONING
 
 
-def _window_sums(n: int, params: ModelParams, name: str = "n") -> _WindowSums:
-    """Check the last ``n`` a caller reads and open the window sums of ``params``."""
+def _window_sums(n: int, params: ModelParams, first: int, name: str = "n") -> _WindowSums:
+    """Check the last ``n`` a caller reads; open the window sums of ``params`` at ``first``."""
     _check_count(n, name)
     if params.backend == LOGFLOAT and n > _LOG_N_MAX:
         raise DomainError(
             f"{name} must be at most {_LOG_N_MAX:.0e} on the {LOGFLOAT} backend,"
             f" got an integer of {n.bit_length()} bits"
         )
-    return _WindowSums(params)
+    return _WindowSums(params, first)
 
 
 def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -362,7 +360,7 @@ def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -
     Unconstrained (``r`` is UNBOUNDED or ``r >= n``) this is
     ``(1 + rho) ** n``; a binding range keeps only lengths in ``[n - r, n]``.
     """
-    return _window_sums(n, ModelParams(rho, r, backend)).variety(n)
+    return _window_sums(n, ModelParams(rho, r, backend), n).variety(n)
 
 
 def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -372,12 +370,12 @@ def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT
     ratio form ``n * rho * variety(n-1, r) / variety(n, r)``, which equals
     the length-weighted mean over the allowed window.
     """
-    return _window_sums(n, ModelParams(rho, r, backend)).avg_length(n)
+    return _window_sums(n, ModelParams(rho, r, backend), n).avg_length(n)
 
 
 def variety_delta(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
     """One growth step of variety, ``variety(n+1, r) - variety(n, r)`` (signed)."""
-    return _window_sums(n, ModelParams(rho, r, backend)).delta(n)
+    return _window_sums(n, ModelParams(rho, r, backend), n).delta(n)
 
 
 def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> bool:
@@ -394,12 +392,12 @@ def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = E
     closed form divided by its right side: no rounding, no window sum, and a
     cost that does not grow with ``n``.
     """
-    return _window_sums(n, ModelParams(rho, r, backend)).hump(n)
+    return _window_sums(n, ModelParams(rho, r, backend), n).hump(n)
 
 
 def classify_stage(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Stage:
     """DEVELOPING while r >= n, then TRANSITIONING until the hump, DEVELOPED after."""
-    return _window_sums(n, ModelParams(rho, r, backend)).stage(n)
+    return _window_sums(n, ModelParams(rho, r, backend), n).stage(n)
 
 
 def _relative_deviation(exact: Fraction, approx: LogScalar) -> float:
@@ -449,8 +447,8 @@ def _cross_checks(
     """`cross_validate` at every n = first..n_max, in one walk of each backend."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
         raise DomainError(f"tol must be a positive real number, got {tol!r}")
-    exact = _window_sums(n_max, ModelParams(rho, r))
-    logged = _WindowSums(exact.params._replace(backend=LOGFLOAT))
+    exact = _window_sums(n_max, ModelParams(rho, r), first)
+    logged = _WindowSums(exact.params._replace(backend=LOGFLOAT), first)
     checks = []
     for n in range(first, n_max + 1):
         a_exact, a_log = exact.avg_length(n), logged.avg_length(n)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import IO
 
-from .core import EXACT, Range, Stage, UNBOUNDED
+from .core import Range, Stage, UNBOUNDED
 from .figures import FigureData
 from .scalars import LogScalar
 
@@ -185,29 +185,22 @@ def _point_cells(exact, point) -> dict:
     }
 
 
-def trajectory_rows(points_exact=None, points_log=None) -> list[dict]:
+def trajectory_rows(points, float_points=None) -> list[dict]:
     """Row dicts for the trajectory table.
 
-    Exact columns come from exact-backend points (empty when absent); float
-    columns come from log-backend points when given, else they render the
-    exact values.  When both are given, they must cover the same n axis.
+    ``points`` give the stage columns, and the exact columns when their values
+    are `Fraction`s (else those are empty).  The float columns render
+    ``float_points`` when given, one per point, else ``points``.
     """
-    if points_exact is None and points_log is None:
-        raise ValueError("need at least one sequence of points")
-    if points_exact is not None and points_log is not None:
-        if [p.n for p in points_exact] != [p.n for p in points_log]:
-            raise ValueError("exact and log point sequences must cover the same n values")
-    primary = points_exact if points_exact is not None else points_log
-    float_source = points_log if points_log is not None else points_exact
     return [
         {
-            **_point_cells(base if points_exact is not None else None, fp),
+            **_point_cells(base if isinstance(base.variety, Fraction) else None, fp),
             "delta_variety_float": format_sig12(fp.delta_variety),
             "stage": base.stage.value,
             "constrained": base.constrained,
             "hump": base.stage is Stage.DEVELOPED,
         }
-        for base, fp in zip(primary, float_source)
+        for base, fp in zip(points, points if float_points is None else float_points, strict=True)
     ]
 
 
@@ -263,17 +256,11 @@ def read_trajectory_json(stream: IO[str]) -> dict:
 # -- sweeps ----------------------------------------------------------------
 
 
-def _rows_for_trajectory(traj) -> list[dict]:
-    if traj.params.backend == EXACT:
-        return trajectory_rows(points_exact=traj.points)
-    return trajectory_rows(points_log=traj.points)
-
-
 def sweep_rows(trajectories) -> list[dict]:
     return [
         {"r": range_str(traj.params.r), **row}
         for traj in trajectories
-        for row in _rows_for_trajectory(traj)
+        for row in trajectory_rows(traj.points)
     ]
 
 
@@ -281,7 +268,7 @@ def sweep_json_payload(rho: Fraction, trajectories) -> dict:
     return {
         "rho": fraction_str(rho),
         "trajectories": [
-            trajectory_json_payload(traj.params, _rows_for_trajectory(traj), traj)
+            trajectory_json_payload(traj.params, trajectory_rows(traj.points), traj)
             for traj in trajectories
         ],
     }

@@ -64,11 +64,11 @@ def default_n_max(r: Range) -> int:
 
 
 def _point(sums: _WindowSums, n: int) -> TrajectoryPoint:
-    avg_length = sums.avg_length(n)  # reads n - 1 first, so the exact walk never restarts
+    """The point at ``n``: it reads the window sums at n - 1, n and n + 1 only."""
     return TrajectoryPoint(
         n=n,
         variety=sums.variety(n),
-        avg_length=avg_length,
+        avg_length=sums.avg_length(n),
         delta_variety=sums.delta(n),
         stage=sums.stage(n),
         constrained=sums.binds(n),
@@ -77,14 +77,14 @@ def _point(sums: _WindowSums, n: int) -> TrajectoryPoint:
 
 def evaluate_point(params: ModelParams, n: int) -> TrajectoryPoint:
     """All per-n quantities for one point under fixed parameters."""
-    return _point(_window_sums(n, params), n)
+    return _point(_window_sums(n, params, n), n)
 
 
 def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
     """Evaluate the model at every n = 0..n_max under fixed parameters."""
     if n_max is None:
         n_max = default_n_max(params.r)
-    sums = _window_sums(n_max, params, "n_max")
+    sums = _window_sums(n_max, params, 0, "n_max")
     points = tuple(_point(sums, n) for n in range(n_max + 1))
     humps = [point.stage is Stage.DEVELOPED for point in points]
     return Trajectory(
@@ -105,7 +105,7 @@ def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     """
     if r is UNBOUNDED:
         raise DomainError("r must be a bounded nonnegative integer, got UNBOUNDED")
-    sums = _window_sums(n_max, ModelParams(rho, r), "n_max")
+    sums = _window_sums(n_max, ModelParams(rho, r), 0, "n_max")
     if n_max < r + 1:
         raise DomainError(f"n_max must be at least r + 1 = {r + 1}, got {n_max!r}")
     lo, hi = r + 1, n_max + 1  # plain ints: bisect over a range overflows past sys.maxsize

@@ -141,6 +141,35 @@ class TestParseConfig:
         from_config = parse_config([flags[0], "--config", str(config_path)])
         assert from_config == parse_config([*flags, "--rho", "1/2"])
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{}", "error: config: invalid JSON in "),
+            (b'{"rho": "1/2",', "error: config: invalid JSON in "),
+            (b'["rho", "1/2"]', "error: config: top level must be a JSON object\n"),
+        ],
+    )
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys, content, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(content)
+        assert run_cli(["validate", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+
+    def test_config_directory_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli(["validate", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: cannot read {str(tmp_path)!r}: ")
+
+    def test_config_r_values_as_a_json_list(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"rho": "1/2", "r_values": [5, "10", 20]}))
+        assert parse_config(["sweep", "--config", str(config_path)]).r_values == (5, 10, 20)
+        config_path.write_text(json.dumps({"rho": "1/2", "r_values": []}))
+        assert run_cli(["sweep", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == "error: r-values: must be nonempty\n"
+
     def test_config_null_for_a_required_key(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"rho": "1/2", "r": None}))
@@ -199,33 +228,30 @@ class TestCommands:
     def test_validate_walks_each_backend_once(self, tmp_path, monkeypatch):
         from capmodel import core
 
-        log_sums, opened, exact_reads = [], [], []
-        log_window_sum, init, walk_to = (
-            core._log_window_sum, core._WindowSums.__init__, core._WindowSums._walk_to
-        )
+        log_sums, opened, drawn = [], [], []
+        log_window_sum = core._log_window_sum
 
         def counting_sum(*args):
             log_sums.append(args)
             return log_window_sum(*args)
 
-        def counting_init(self, params):
-            opened.append(params.backend)
-            init(self, params)
+        def counting_stream(backend, terms):
+            def stream(*args):
+                opened.append(backend)
+                return (drawn.append(backend) or term for term in terms(*args))
 
-        def recording_walk(self, k):
-            exact_reads.append(k)
-            walk_to(self, k)
+            return stream
 
         monkeypatch.setattr(core, "_log_window_sum", counting_sum)
-        monkeypatch.setattr(core._WindowSums, "__init__", counting_init)
-        monkeypatch.setattr(core._WindowSums, "_walk_to", recording_walk)
+        monkeypatch.setattr(core, "_exact_terms", counting_stream("exact", core._exact_terms))
+        monkeypatch.setattr(core, "_log_terms", counting_stream("logfloat", core._log_terms))
         code = run_cli(["validate", "--rho", "3/4", "--r", "200", "--n-max", "600",
                         "--out", str(tmp_path / "validate.csv")])
         assert code == 0
         assert len(log_sums) <= 600 - 200 + 2
         assert sorted(opened) == ["exact", "logfloat"]
-        # the exact walk only ever moves forward: it never restarts
-        assert exact_reads == sorted(set(exact_reads))
+        # each stream yields every term of n = 0..600 once
+        assert drawn.count("exact") == drawn.count("logfloat") == 601
 
     def test_validate_fail_exit_one(self):
         # an absurd tolerance makes genuine rounding look like a failure

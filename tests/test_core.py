@@ -179,7 +179,11 @@ class TestHumpCondition:
         def refuse(*args):
             raise AssertionError("the hump test read a window sum")
 
-        monkeypatch.setattr(core._WindowSums, "_walk_to", refuse)
+        def refuse_walk(*args):  # a generator: opening the stream is fine, reading it fails
+            yield refuse()
+
+        monkeypatch.setattr(core, "_exact_terms", refuse_walk)
+        monkeypatch.setattr(core, "_log_terms", refuse_walk)
         monkeypatch.setattr(core, "_log_window_sum", refuse)
         for backend in (EXACT, LOGFLOAT):
             assert cm.hump_condition(99997, "1/2", 50000, backend) is False

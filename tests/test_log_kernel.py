@@ -67,6 +67,27 @@ def test_unconverged_fraction_is_a_resource_limit(monkeypatch, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_fraction_cap_stops_growing_at_a_plus_b_of_2_to_the_40(monkeypatch):
+    # at the switch point the iterations needed double each decade of n; the
+    # cap, 64 + isqrt(2**40), keeps a run that cannot converge near 1 s
+    monkeypatch.setattr(core, "_CF_TOL", -1.0)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"did not converge in 1048640 iterations"):
+        core._beta_cf(10**20, 10**20, 0.5)
+    assert time.perf_counter() - started < 10
+
+
+def test_rounded_complement_is_a_domain_error(capsys):
+    # near r = n*q/(p+q) at n ~ 1e28 the rounded complement reaches the whole sum
+    args = ["eval", "--rho", "1/2", "--r", "6666666666666666666666666667",
+            "--n", "10000000000000000000000000001", "--backend", "logfloat"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the logfloat backend cannot resolve this window sum")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_lgamma_calls_do_not_grow_with_the_window(monkeypatch):
     calls, lgamma = [], math.lgamma
     monkeypatch.setattr(math, "lgamma", lambda value: calls.append(value) or lgamma(value))

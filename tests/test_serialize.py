@@ -57,6 +57,19 @@ class TestFormatSig12:
             recovered = math.log10(float(mantissa)) + int(exponent)
             assert recovered == pytest.approx(value.log_abs / math.log(10), abs=1e-9)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_logscalar_beyond_double_range_carries_into_the_exponent(self, sign):
+        import math
+
+        # log10 |value| is 2 ulps below 401: the mantissa 9.99999999999974 rounds
+        # to 12 digits as 10.0000000000 and carries into the exponent, 400 -> 401;
+        # 4 ulps below, the mantissa 9.99999999999948 does not carry
+        text = "-" if sign < 0 else ""
+        carried = LogScalar(sign, (401 - 2**-43) * math.log(10))
+        assert ser.format_sig12(carried) == text + "1.00000000000e+401"
+        kept = LogScalar(sign, (401 - 2**-42) * math.log(10))
+        assert ser.format_sig12(kept) == text + "9.99999999999e+400"
+
     def test_zero_logscalar(self):
         assert ser.format_sig12(LogScalar.zero()) == "0.00000000000"
 
@@ -181,7 +194,7 @@ _TRAJECTORY_HEADER = (
 class TestTrajectorySerialization:
     def test_golden_row(self):
         traj = cm.run_trajectory(ModelParams(1, None), n_max=3)
-        rows = ser.trajectory_rows(points_exact=traj.points)
+        rows = ser.trajectory_rows(traj.points)
         text = _csv_text(rows)
         lines = text.splitlines()
         assert lines[0] == _TRAJECTORY_HEADER
@@ -191,7 +204,7 @@ class TestTrajectorySerialization:
 
     def test_n_zero_single_row(self):
         traj = cm.run_trajectory(ModelParams(1, None), n_max=0)
-        rows = ser.trajectory_rows(points_exact=traj.points)
+        rows = ser.trajectory_rows(traj.points)
         text = _csv_text(rows)
         lines = text.splitlines()
         assert len(lines) == 2
@@ -199,7 +212,7 @@ class TestTrajectorySerialization:
 
     def test_csv_round_trip_recovers_exact_fields(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4), n_max=14)
-        rows = ser.trajectory_rows(points_exact=traj.points)
+        rows = ser.trajectory_rows(traj.points)
         text = _csv_text(rows)
         parsed = ser.read_trajectory_csv(io.StringIO(text))
         assert [row["variety_exact"] for row in parsed] == [p.variety for p in traj.points]
@@ -213,7 +226,7 @@ class TestTrajectorySerialization:
 
     def test_json_round_trip_recovers_exact_fields(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4), n_max=9)
-        rows = ser.trajectory_rows(points_exact=traj.points)
+        rows = ser.trajectory_rows(traj.points)
         payload = ser.trajectory_json_payload(traj.params, rows, traj)
         buffer = io.StringIO()
         ser.write_json(payload, buffer)
@@ -226,7 +239,7 @@ class TestTrajectorySerialization:
 
     def test_log_backend_leaves_exact_columns_empty(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=6)
-        rows = ser.trajectory_rows(points_log=traj.points)
+        rows = ser.trajectory_rows(traj.points)
         assert rows[0]["variety_exact"] is None
         text = _csv_text(rows)
         assert text.splitlines()[1].split(",")[1] == ""
@@ -234,13 +247,13 @@ class TestTrajectorySerialization:
     def test_both_backends_zip_into_one_table(self):
         exact = cm.run_trajectory(ModelParams("0.5", 4), n_max=6)
         logged = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=6)
-        rows = ser.trajectory_rows(points_exact=exact.points, points_log=logged.points)
+        rows = ser.trajectory_rows(exact.points, logged.points)
         assert rows[3]["variety_exact"] == ser.fraction_str(exact.points[3].variety)
         assert rows[3]["variety_float"] == ser.format_sig12(logged.points[3].variety)
 
     def test_deterministic_bytes(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4), n_max=10)
-        rows = ser.trajectory_rows(points_exact=traj.points)
+        rows = ser.trajectory_rows(traj.points)
         assert _csv_text(rows) == _csv_text(rows)
 
 
@@ -276,10 +289,10 @@ def _points(backend):
 #: table -> (a function building its rows, the CSV header the README lists)
 _TABLES = {
     "trajectory-exact": (
-        lambda: ser.trajectory_rows(points_exact=_points(cm.EXACT)), _TRAJECTORY_HEADER
+        lambda: ser.trajectory_rows(_points(cm.EXACT)), _TRAJECTORY_HEADER
     ),
     "trajectory-log": (
-        lambda: ser.trajectory_rows(points_log=_points(LOGFLOAT)), _TRAJECTORY_HEADER
+        lambda: ser.trajectory_rows(_points(LOGFLOAT)), _TRAJECTORY_HEADER
     ),
     "trajectory-both": (
         lambda: ser.trajectory_rows(_points(cm.EXACT), _points(LOGFLOAT)), _TRAJECTORY_HEADER
