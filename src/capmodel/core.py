@@ -196,6 +196,11 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
     sum is ``(1 + rho)**n * I_x(a, b)``, the regularized incomplete beta
     function: one `_log_binomial` and one `_beta_cf`, whatever the width.
     """
+    if n >= 2**53:  # a, b and the branch test below would no longer be exact doubles
+        raise DomainError(
+            f"the {LOGFLOAT} backend cannot resolve this window sum at n of {n.bit_length()}"
+            " bits: a window sum needs n below 2**53"
+        )
     log1p_rho = math.log1p(p / q)
     a, b = n - width, width + 1
     # (1 + rho)**n * x**a * (1-x)**b / (a * B(a, b)) = C(n, width) * rho**a / (1 + rho)
@@ -206,7 +211,7 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
     # the complement I_x(a, b) = 1 - I_{1-x}(b, a), whose front factor has b for a
     cf, total = _beta_cf(b, a, q / (p + q)), n * log1p_rho
     tail = front + math.log(a / b) + math.log(cf) if cf > 0 else math.inf
-    if tail >= total:  # rounding in lgamma and the fraction, at n far past 53 bits
+    if tail >= total:  # rounding in lgamma and the fraction, from about n = 10**15
         raise DomainError(
             f"the {LOGFLOAT} backend cannot resolve this window sum at n of {n.bit_length()}"
             " bits: rounding puts the complement of the window at or above the whole sum"

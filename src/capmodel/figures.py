@@ -14,9 +14,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import ModelParams, Range, UNBOUNDED
+from .core import Range, UNBOUNDED
 from .errors import DomainError
-from .trajectory import TrajectoryPoint, default_n_max, run_trajectory
+from .trajectory import TrajectoryPoint, sweep_range
 
 #: figure id -> (rho, product range of each series, marker names for where a
 #: series' range starts binding and for its hump onset; None marks nothing)
@@ -46,11 +46,8 @@ def figure_dataset(figure_id: int, n_max: int | None = None) -> FigureData:
     if figure_id not in FIGURE_IDS:
         raise DomainError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
     rho, ranges, marker_names = _FIGURES[figure_id]
-    if n_max is None:
-        n_max = max(default_n_max(r) for r in ranges)
     series, markers = [], {}
-    for r in ranges:
-        traj = run_trajectory(ModelParams(rho, r), n_max)
+    for r, traj in zip(ranges, sweep_range(rho, list(ranges), n_max)):
         series.append(FigureSeries("unconstrained" if r is UNBOUNDED else f"r={r}", r, traj.points))
         landmarks = (traj.transition_constrained_at, traj.hump_onset_at)
         for name, n in zip(marker_names, landmarks):

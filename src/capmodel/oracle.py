@@ -49,11 +49,6 @@ PER_SUBSET_MAX_N = 20
 PER_LENGTH_MAX_N = 64
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 def _check_book(n: int, mode: str) -> None:
     """Check the size and the mode of a sampled recipe book before any draw."""
     _check_count(n)
@@ -109,11 +104,23 @@ class RecipeBookSample(NamedTuple):
 
 def _popcounts(n: int) -> np.ndarray:
     import numpy as np
-    masks = np.arange(1 << n, dtype=np.uint32)
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    for bit in range(n):
-        sizes += ((masks >> bit) & 1).astype(np.uint8)
+    sizes = np.zeros(1, np.uint8)
+    for _ in range(n):  # the masks in [2**k, 2**(k+1)) have one more bit than those below
+        sizes = np.concatenate((sizes, sizes + 1))
     return sizes
+
+
+def _draw(n: int, seed: int, mode: str, viability: list[float], keep_masks: bool = False):
+    """One book's counts by length and, if kept, viable masks; the caller checks every input."""
+    import numpy as np
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if mode == PER_SUBSET:
+        sizes = _popcounts(n)
+        viable = rng.random(1 << n) < np.asarray(viability)[sizes]
+        counts = np.bincount(sizes[viable], minlength=n + 1)
+        masks = tuple(int(m) for m in np.nonzero(viable)[0]) if keep_masks else None
+        return tuple(int(c) for c in counts), masks
+    return tuple(int(rng.binomial(math.comb(n, s), viability[s])) for s in range(n + 1)), None
 
 
 def sample_recipe_book(
@@ -130,19 +137,9 @@ def sample_recipe_book(
     """
     rho = checked_rho(rho)
     _check_book(n, mode)
-    _check_seed(seed)
-    import numpy as np
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    _check_count(seed, "seed")
     viability = [float(rho**s) for s in range(n + 1)]
-    if mode == PER_SUBSET:
-        draws = rng.random(1 << n)
-        sizes = _popcounts(n)
-        viable = draws < np.asarray(viability)[sizes]
-        counts = np.bincount(sizes[viable], minlength=n + 1)
-        masks = tuple(int(m) for m in np.nonzero(viable)[0]) if keep_masks else None
-        return RecipeBookSample(n, rho, seed, mode, tuple(int(c) for c in counts), masks)
-    counts = tuple(int(rng.binomial(math.comb(n, s), viability[s])) for s in range(n + 1))
-    return RecipeBookSample(n, rho, seed, mode, counts)
+    return RecipeBookSample(n, rho, seed, mode, *_draw(n, seed, mode, viability, keep_masks))
 
 
 def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
@@ -161,7 +158,7 @@ def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int
 
 def trial_seed(base_seed: int, index: int) -> int:
     """Per-trial seed: first 64-bit word of SeedSequence((base_seed, index))."""
-    _check_seed(base_seed)
+    _check_count(base_seed, "seed")
     _check_count(index, "trial index")
     import numpy as np
     ss = np.random.SeedSequence([base_seed, index])
@@ -225,11 +222,11 @@ def validate_expectations(
         raise DomainError(f"trials must be an integer >= 30, got {trials!r}")
     rho = ModelParams(rho, r).rho
     _check_book(n, mode)
-    _check_seed(base_seed)
+    _check_count(base_seed, "seed")
+    viability = [float(rho**s) for s in range(n + 1)]
     count_sums = [0] * (n + 1)
     for i in range(trials):
-        sample = sample_recipe_book(n, rho, trial_seed(base_seed, i), mode)
-        for s, c in enumerate(sample.counts_by_length):
+        for s, c in enumerate(_draw(n, trial_seed(base_seed, i), mode, viability)[0]):
             count_sums[s] += c
     # both window sums are linear in the counts, so they are taken once, over all trials
     lo = _window_lo(n, r)
@@ -237,9 +234,7 @@ def validate_expectations(
     length_sum = sum(s * count_sums[s] for s in range(lo, n + 1))
 
     expected_counts = [float(math.comb(n, s) * rho**s) for s in range(n + 1)]
-    count_vars = [
-        float(math.comb(n, s)) * float(rho**s) * (1.0 - float(rho**s)) for s in range(n + 1)
-    ]
+    count_vars = [float(math.comb(n, s)) * v * (1.0 - v) for s, v in enumerate(viability)]
     per_emp = tuple(count_sums[s] / trials for s in range(n + 1))
     per_z = tuple(
         _zscore(per_emp[s] - expected_counts[s], math.sqrt(count_vars[s] / trials))

@@ -232,6 +232,9 @@ class TestCrossValidate:
         check = cm.cross_validate(0, 1, UNBOUNDED, tol=1e-9)
         assert check.variety_rel_dev == 0.0
         assert check.avg_length_rel_dev == 0.0
+        # a log value that is zero or negative is infinitely far from a positive exact one
+        for approx in (cm.LogScalar.zero(), cm.LogScalar(-1, 0.0)):
+            assert core._relative_deviation(Fraction(1), approx) == math.inf
 
     def test_large_n(self):
         check = cm.cross_validate(300, Fraction(3, 10), 100, tol=1e-9)

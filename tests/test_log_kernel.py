@@ -78,14 +78,41 @@ def test_fraction_cap_stops_growing_at_a_plus_b_of_2_to_the_40(monkeypatch):
 
 
 def test_rounded_complement_is_a_domain_error(capsys):
-    # near r = n*q/(p+q) at n ~ 1e28 the rounded complement reaches the whole sum
-    args = ["eval", "--rho", "1/2", "--r", "6666666666666666666666666667",
-            "--n", "10000000000000000000000000001", "--backend", "logfloat"]
+    # near r = n*q/(p+q) at n ~ 1e15 the rounded complement reaches the whole sum
+    args = ["eval", "--rho", "1/2", "--r", "666666667666667",
+            "--n", "1000000000000001", "--backend", "logfloat"]
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the logfloat backend cannot resolve this window sum")
+    assert "rounding puts the complement" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_window_sum_past_2_to_the_53_is_a_domain_error(capsys, monkeypatch):
+    # past 2**53 the shape parameters and the branch test are no longer exact
+    # doubles: the sum is refused before any lgamma or continued fraction
+    assert core.variety(2**53 - 1, "1/2", 5, LOGFLOAT).sign == 1
+    message = r"^the logfloat backend cannot resolve this window sum at n of 54 bits"
+    with pytest.raises(DomainError, match=message):
+        core.variety(2**53, "1/2", 5, LOGFLOAT)
+    monkeypatch.setattr(core, "_beta_cf", lambda *args: pytest.fail("continued fraction"))
+    monkeypatch.setattr(math, "lgamma", lambda value: pytest.fail("lgamma"))
+    with pytest.raises(DomainError, match=message):
+        core._log_window_sum(2**53, 5, 1, 2)
+    big = 10**100 + 1
+    # the first two ran the fraction to its cap (about 1.3 s each), the third printed
+    # -6.93e159 for a log whose ulp is about 1e144, the last raised after the complement
+    for n, r in ((big, 2 * big // 3), (big, 2 * big // 3 - 10**50), (10**160, 5),
+                 (10**28 + 1, 2 * (10**28 + 1) // 3)):
+        args = ["eval", "--rho", "1/2", "--r", str(r), "--n", str(n), "--backend", "logfloat"]
+        started = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - started < 0.1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the logfloat backend cannot resolve this window sum")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_lgamma_calls_do_not_grow_with_the_window(monkeypatch):

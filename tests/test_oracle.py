@@ -99,6 +99,17 @@ class TestSampleRecipeBook:
         with pytest.raises(cm.DomainError):
             cm.sample_recipe_book(5, 0, seed=1)
 
+    def test_popcounts_by_doubling(self):
+        import numpy as np
+
+        from capmodel import oracle
+
+        for n in range(17):
+            expected = np.array([mask.bit_count() for mask in range(1 << n)], dtype=np.uint8)
+            sizes = oracle._popcounts(n)
+            assert sizes.dtype == np.uint8
+            assert np.array_equal(sizes, expected), n
+
 
 class TestEmpiricalStats:
     def test_full_book_matches_enumeration(self):
@@ -175,12 +186,24 @@ class TestValidateExpectations:
         from capmodel import oracle
 
         drawn = []
-        monkeypatch.setattr(oracle, "sample_recipe_book", lambda *args: drawn.append(args))
+        monkeypatch.setattr(oracle, "_draw", lambda *args: drawn.append(args))
         call = {"n": 5, "rho": HALF, "r": UNBOUNDED, "trials": 1000, "base_seed": 1,
                 "mode": PER_LENGTH_BINOMIAL, **kwargs}
         with pytest.raises(cm.DomainError):
             cm.validate_expectations(**call)
         assert drawn == []
+
+    @pytest.mark.parametrize("mode", [PER_SUBSET, PER_LENGTH_BINOMIAL])
+    def test_one_draw_per_trial_from_one_table(self, monkeypatch, mode):
+        from capmodel import oracle
+
+        draws, draw = [], oracle._draw
+        monkeypatch.setattr(oracle, "_draw", lambda *args: draws.append(args) or draw(*args))
+        monkeypatch.setattr(oracle, "sample_recipe_book", lambda *args: pytest.fail("resampled"))
+        cm.validate_expectations(6, HALF, trials=40, base_seed=3, mode=mode)
+        assert [args[1] for args in draws] == [cm.trial_seed(3, i) for i in range(40)]
+        assert all(args[3] is draws[0][3] for args in draws)
+        assert draws[0][3] == [float(HALF**s) for s in range(7)]
 
     def test_deterministic_reports(self):
         a = cm.validate_expectations(10, HALF, trials=60, base_seed=777)

@@ -50,6 +50,7 @@ class TestLogScalar:
         assert z.sign == 0 and z.log_abs == -math.inf
         assert LogScalar(0, 5.0) == z
         assert z.to_float() == 0.0
+        assert LogScalar.from_float(0.0) == LogScalar.from_float(-0.0) == z
 
     # log-space subtraction lives in the kernel, which works on log magnitudes
 

@@ -40,6 +40,9 @@ class TestFormatSig12:
         assert ser.format_sig12(8.0) == "8.00000000000"
         assert ser.format_sig12(13) == "13.0000000000"
         assert ser.format_sig12(1.5e-13) == "1.50000000000e-13"
+        for value in (True, "8", None):
+            with pytest.raises(TypeError, match="cannot format"):
+                ser.format_sig12(value)
 
     def test_logscalar_within_double_range(self):
         assert ser.format_sig12(LogScalar.from_float(8.0)) == "8.00000000000"
@@ -135,6 +138,9 @@ class TestFractionStrings:
     def test_parse_round_trip(self):
         for value in (Fraction(8), Fraction(-5, 16), Fraction(10**40, 3**20)):
             assert ser.parse_fraction(ser.fraction_str(value)) == value
+        for text in ("8", "3/2 ", "+3/2", "1.5/1", "0x3/2"):
+            with pytest.raises(ValueError, match="not a canonical rational string"):
+                ser.parse_fraction(text)
 
     @pytest.mark.parametrize("digits", [4299, 4300, 4301, 20000])
     def test_round_trip_past_the_digit_limit(self, digits):
@@ -223,6 +229,13 @@ class TestTrajectorySerialization:
         assert [row["hump"] for row in parsed] == [
             p.stage is cm.Stage.DEVELOPED for p in traj.points
         ]
+        # a log table reads back with its exact cells empty
+        logged = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=14)
+        parsed = ser.read_trajectory_csv(io.StringIO(_csv_text(ser.trajectory_rows(logged.points))))
+        assert {(row["variety_exact"], row["avg_length_exact"]) for row in parsed} == {(None, None)}
+        assert [row["variety_float"] for row in parsed] == pytest.approx(
+            [p.variety.to_float() for p in logged.points], rel=1e-11
+        )
 
     def test_json_round_trip_recovers_exact_fields(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4), n_max=9)
@@ -236,6 +249,19 @@ class TestTrajectorySerialization:
         assert [row["variety_exact"] for row in parsed["points"]] == [
             p.variety for p in traj.points
         ]
+        # a log table reads back with its exact cells empty
+        logged = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=9)
+        buffer = io.StringIO()
+        rows = ser.trajectory_rows(logged.points)
+        ser.write_json(ser.trajectory_json_payload(logged.params, rows), buffer)
+        parsed = ser.read_trajectory_json(io.StringIO(buffer.getvalue()))
+        assert parsed["params"]["backend"] == LOGFLOAT
+        assert {(row["variety_exact"], row["avg_length_exact"]) for row in parsed["points"]} == {
+            (None, None)
+        }
+        assert [row["avg_length_float"] for row in parsed["points"]] == pytest.approx(
+            [p.avg_length.to_float() for p in logged.points], rel=1e-11
+        )
 
     def test_log_backend_leaves_exact_columns_empty(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=6)

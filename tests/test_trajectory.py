@@ -36,7 +36,7 @@ class TestRunTrajectory:
         params = ModelParams(HALF, 3)
         traj = cm.run_trajectory(params, n_max=12)
         for point in traj.points:
-            assert point == cm.evaluate_point(params, point.n)
+            assert point == cm.evaluate_point(params, point.n) == traj.point(point.n)
             assert point.stage is cm.classify_stage(point.n, HALF, 3)
             assert point.constrained == (3 < point.n)
 
