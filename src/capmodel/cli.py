@@ -1,13 +1,13 @@
-"""Command-line surface: argument/config parsing, dispatch, serialization.
+"""Command-line surface: argument/config parsing and dispatch.
 
-Exit codes: 0 success, 1 a validation command found deviations beyond its
-tolerance, 2 usage error, 3 I/O error.  Every flag is one row of `_FLAGS`,
-which builds the parser, names the keys a ``--config`` JSON file may hold,
-and normalizes each value.  Config values are merged below explicit flags;
-unknown config keys are rejected, and a key set to null counts as left out.
-All randomness requires an explicit seed or uses the documented fixed
-default, so rerunning any command with identical arguments produces
-identical bytes.
+Every command is one row of `_COMMANDS`: its --help summary and its handler.
+Every flag is one row of `_FLAGS`, which builds the parser, names the keys a
+``--config`` JSON file may hold, and normalizes each value.  Config values
+are merged below explicit flags; unknown config keys are rejected, and a key
+set to null counts as left out.  `main` maps every error to its exit code:
+0 success, 1 a validation command found deviations beyond its tolerance,
+2 usage error (any `CapModelError`), 3 I/O error.  Every random draw takes an
+explicit or fixed default seed, so identical arguments give identical bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
     checked_rho,
     cross_validate,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import CapModelError, DomainError
 from .figures import FIGURE_IDS, figure_dataset
 from .oracle import MODES, PER_LENGTH_BINOMIAL, validate_expectations
 from .trajectory import (
@@ -46,7 +46,7 @@ FORMATS = ("csv", "json")
 BOTH = "both"
 
 
-class UsageError(Exception):
+class UsageError(CapModelError):
     """Bad command line or config file; maps to exit code 2."""
 
 
@@ -158,63 +158,13 @@ def _library_default(function, name: str):
     return function.__defaults__[names.index(name) - len(names)]
 
 
-_COMMANDS = {
-    "eval": "evaluate all closed forms at one (n, r, rho)",
-    "trajectory": "evaluate n = 0..n-max and tag stages",
-    "sweep": "one trajectory per r value",
-    "hump": "first n where variety declines at the next step",
-    "oracle": "seeded sampling vs closed-form expectations",
-    "validate": "exact vs log backend over n = 0..n-max",
-    "figures": "emit the dataset behind figure 1, 2, or 3",
-}
-_REQUIRED = object()
-
-#: Every flag: (config key, commands, normalizer, default, help).  A key whose
-#: rule differs by command has one row per rule.  The flag is the key with
-#: dashes, and its help gains "(default: ...)" unless the default is None
-#: (worked out later) or _REQUIRED.
-_FLAGS = (
-    ("rho", ("eval", "trajectory", "sweep", "hump", "oracle", "validate"), _norm_rho, _REQUIRED,
-     "viability probability in (0,1], e.g. 0.5 or 1/2"),
-    ("r", ("eval", "trajectory", "oracle", "validate"), _norm_range, "unbounded",
-     "product range: nonnegative integer or 'unbounded'"),
-    ("r", ("hump",), _norm_int, _REQUIRED, "bounded product range"),
-    ("n", ("eval", "oracle"), _norm_int, _REQUIRED, "number of capabilities"),
-    ("r_values", ("sweep",), _norm_r_values, _REQUIRED, "comma-separated ranges, e.g. 5,10,20,30"),
-    ("id", ("figures",), _norm_figure_id, _REQUIRED, "figure id: 1, 2, or 3"),
-    ("n_max", ("trajectory",), _norm_int, None, "last n (default: max(3r, 50))"),
-    ("n_max", ("sweep",), _norm_int, None, "last n (default: max over r of max(3r, 50))"),
-    ("n_max", ("hump",), _norm_int, 500, "scan bound"),
-    ("n_max", ("validate",), _norm_int, 100, "last n"),
-    ("n_max", ("figures",), _norm_int, None, "override the figure's n axis"),
-    ("backend", ("eval", "trajectory"), _one_of(EXACT, LOGFLOAT, BOTH), EXACT,
-     "exact | logfloat | both"),
-    ("backend", ("sweep",), _one_of(EXACT, LOGFLOAT), EXACT, "exact | logfloat"),
-    ("trials", ("oracle",), partial(_norm_int, minimum=30),
-     _library_default(validate_expectations, "trials"), "number of sampled books"),
-    ("seed", ("oracle",), _norm_int, _library_default(validate_expectations, "base_seed"),
-     "base seed"),
-    ("mode", ("oracle",), _one_of(*MODES), PER_LENGTH_BINOMIAL, "per-subset | per-length-binomial"),
-    ("z_max", ("oracle",), _norm_float, 4.0, "|z| beyond this exits 1"),
-    ("tol", ("validate",), _norm_float, _library_default(cross_validate, "tol"),
-     "relative tolerance; beyond it exits 1"),
-    ("out", tuple(_COMMANDS), _norm_path, None, "output path (default: stdout)"),
-    ("format", ("hump",), _one_of(*FORMATS), "json", "output format: csv | json"),
-    ("format", ("eval", "trajectory", "sweep", "oracle", "validate", "figures"), _one_of(*FORMATS),
-     "csv", "output format: csv | json"),
-)
-
-#: RunConfig fields whose names differ from their config keys.
-_FIELDS = {"out": "output_path", "id": "figure_id"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capmodel",
         description="Combinatorial capability model: variety, complexity, stages, hump.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in _COMMANDS.items():
+    for command, (summary, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for key, commands, _, default, text in _FLAGS:
             if command in commands:
@@ -361,33 +311,67 @@ def _cmd_figures(config: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "eval": _cmd_points,
-    "trajectory": _cmd_points,
-    "sweep": _cmd_sweep,
-    "hump": _cmd_hump,
-    "oracle": _cmd_oracle,
-    "validate": _cmd_validate,
-    "figures": _cmd_figures,
+_COMMANDS = {
+    "eval": ("evaluate all closed forms at one (n, r, rho)", _cmd_points),
+    "trajectory": ("evaluate n = 0..n-max and tag stages", _cmd_points),
+    "sweep": ("one trajectory per r value", _cmd_sweep),
+    "hump": ("first n where variety declines at the next step", _cmd_hump),
+    "oracle": ("seeded sampling vs closed-form expectations", _cmd_oracle),
+    "validate": ("exact vs log backend over n = 0..n-max", _cmd_validate),
+    "figures": ("emit the dataset behind figure 1, 2, or 3", _cmd_figures),
 }
+_REQUIRED = object()
+
+#: Every flag: (config key, commands, normalizer, default, help).  A key whose
+#: rule differs by command has one row per rule.  The flag is the key with
+#: dashes, and its help gains "(default: ...)" unless the default is None
+#: (worked out later) or _REQUIRED.
+_FLAGS = (
+    ("rho", ("eval", "trajectory", "sweep", "hump", "oracle", "validate"), _norm_rho, _REQUIRED,
+     "viability probability in (0,1], e.g. 0.5 or 1/2"),
+    ("r", ("eval", "trajectory", "oracle", "validate"), _norm_range, "unbounded",
+     "product range: nonnegative integer or 'unbounded'"),
+    ("r", ("hump",), _norm_int, _REQUIRED, "bounded product range"),
+    ("n", ("eval", "oracle"), _norm_int, _REQUIRED, "number of capabilities"),
+    ("r_values", ("sweep",), _norm_r_values, _REQUIRED, "comma-separated ranges, e.g. 5,10,20,30"),
+    ("id", ("figures",), _norm_figure_id, _REQUIRED, "figure id: 1, 2, or 3"),
+    ("n_max", ("trajectory",), _norm_int, None, "last n (default: max(3r, 50))"),
+    ("n_max", ("sweep",), _norm_int, None, "last n (default: max over r of max(3r, 50))"),
+    ("n_max", ("hump",), _norm_int, 500, "scan bound"),
+    ("n_max", ("validate",), _norm_int, 100, "last n"),
+    ("n_max", ("figures",), _norm_int, None, "override the figure's n axis"),
+    ("backend", ("eval", "trajectory"), _one_of(EXACT, LOGFLOAT, BOTH), EXACT,
+     "exact | logfloat | both"),
+    ("backend", ("sweep",), _one_of(EXACT, LOGFLOAT), EXACT, "exact | logfloat"),
+    ("trials", ("oracle",), partial(_norm_int, minimum=30),
+     _library_default(validate_expectations, "trials"), "number of sampled books"),
+    ("seed", ("oracle",), _norm_int, _library_default(validate_expectations, "base_seed"),
+     "base seed"),
+    ("mode", ("oracle",), _one_of(*MODES), PER_LENGTH_BINOMIAL, "per-subset | per-length-binomial"),
+    ("z_max", ("oracle",), _norm_float, 4.0, "|z| beyond this exits 1"),
+    ("tol", ("validate",), _norm_float, _library_default(cross_validate, "tol"),
+     "relative tolerance; beyond it exits 1"),
+    ("out", tuple(_COMMANDS), _norm_path, None, "output path (default: stdout)"),
+    ("format", ("hump",), _one_of(*FORMATS), "json", "output format: csv | json"),
+    ("format", ("eval", "trajectory", "sweep", "oracle", "validate", "figures"), _one_of(*FORMATS),
+     "csv", "output format: csv | json"),
+)
+
+#: RunConfig fields whose names differ from their config keys.
+_FIELDS = {"out": "output_path", "id": "figure_id"}
 
 
 def run(config: RunConfig) -> int:
-    return _HANDLERS[config.command](config)
+    return _COMMANDS[config.command][1](config)
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run(parse_config(argv))
     except SystemExit as exc:
         # argparse has already printed its message
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return run(config)
-    except (UsageError, DomainError, ResourceLimitError) as exc:
+    except CapModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

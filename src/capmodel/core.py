@@ -328,7 +328,10 @@ class _WindowSums:
         if self.exact:  # powers of q cancel; other common factors need the gcd
             return Fraction(n * p * self.term(n - 1), self.term(n))
         if not self.binds(n):
-            return LogScalar.from_float(n * p / (p + q))
+            ratio = n * p / (p + q)
+            if ratio < sys.float_info.min:  # subnormal or 0.0: divide as logs instead
+                return LogScalar.from_log(math.log(n * p) - math.log(p + q))
+            return LogScalar.from_float(ratio)
         return LogScalar.from_log(math.log(n) + self.log_rho + self.term(n - 1) - self.term(n))
 
     def delta(self, n: int) -> Scalar:

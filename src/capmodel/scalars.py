@@ -63,7 +63,7 @@ class LogScalar(_LogScalarFields):
 
     def __new__(cls, sign: int, log_abs: float) -> "LogScalar":
         if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {sign!r}")
+            raise DomainError(f"sign must be -1, 0, or +1, got {sign!r}")
         return tuple.__new__(cls, (sign, -math.inf if sign == 0 else log_abs))
 
     @classmethod

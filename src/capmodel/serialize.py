@@ -21,6 +21,7 @@ from itertools import chain
 from typing import IO
 
 from .core import Range, Stage, UNBOUNDED
+from .errors import DomainError
 from .figures import FigureData
 from .scalars import LogScalar
 
@@ -60,7 +61,7 @@ def fraction_str(value: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     """Inverse of `fraction_str`, for integers of any length."""
     if not _CANONICAL.fullmatch(text):
-        raise ValueError(f"not a canonical rational string: {text!r}")
+        raise DomainError(f"not a canonical rational string: {text!r}")
     numerator, denominator = text.split("/")
     return Fraction(_str_int(numerator), _str_int(denominator))
 

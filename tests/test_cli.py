@@ -9,7 +9,7 @@ import pytest
 
 import capmodel as cm
 from capmodel import UNBOUNDED
-from capmodel.cli import RunConfig, main, parse_config
+from capmodel.cli import RunConfig, UsageError, main, parse_config
 from capmodel.serialize import read_trajectory_csv
 
 
@@ -39,6 +39,7 @@ class TestParseConfig:
     def test_rho_out_of_range_is_usage_error(self, capsys):
         assert run_cli(["eval", "--rho", "1.5", "--r", "1", "--n", "3"]) == 2
         assert "rho" in capsys.readouterr().err
+        assert issubclass(UsageError, cm.CapModelError)
 
     def test_rho_float_notation_rejected(self, capsys):
         assert run_cli(["eval", "--rho", "5e-1", "--r", "1", "--n", "3"]) == 2

@@ -236,6 +236,11 @@ class TestCrossValidate:
         for approx in (cm.LogScalar.zero(), cm.LogScalar(-1, 0.0)):
             assert core._relative_deviation(Fraction(1), approx) == math.inf
 
+    @pytest.mark.parametrize("k", [300, 320, 400, 5000])
+    def test_avg_length_below_the_normal_doubles(self, k):
+        # rho * n / (1 + rho) is subnormal or 0.0 as a float from k = 320 on
+        assert cm.cross_validate(5, Fraction(1, 10**k)).avg_length_rel_dev < 1e-12
+
     def test_large_n(self):
         check = cm.cross_validate(300, Fraction(3, 10), 100, tol=1e-9)
         assert check.ok

@@ -92,6 +92,14 @@ def test_oracle_process_matches_in_process(tmp_path, capsys):
     assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
 
 
+def test_cli_module_runs_as_main(tmp_path):
+    args = ["hump", "--rho", "1/2", "--r", "30"]
+    package = _python("-m", "capmodel", *args, cwd=tmp_path)
+    module = _python("-m", "capmodel.cli", *args, cwd=tmp_path)
+    assert (module.returncode, module.stdout) == (package.returncode, package.stdout)
+    assert package.returncode == 0 and "hump onset: 58" in package.stdout
+
+
 def test_package_does_not_import_decimal():
     # `fractions` itself imports `decimal` on 3.10-3.13, so the guard above
     # cannot keep it out of sys.modules; no capmodel module may need it

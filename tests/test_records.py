@@ -101,7 +101,7 @@ def test_replace_validates_like_construction():
     with pytest.raises(DomainError):
         params._replace(backend="fast")
     assert LogScalar(1, 2.0)._replace(sign=0) == LogScalar.zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         LogScalar(1, 2.0)._replace(sign=2)
 
 

@@ -139,7 +139,7 @@ class TestFractionStrings:
         for value in (Fraction(8), Fraction(-5, 16), Fraction(10**40, 3**20)):
             assert ser.parse_fraction(ser.fraction_str(value)) == value
         for text in ("8", "3/2 ", "+3/2", "1.5/1", "0x3/2"):
-            with pytest.raises(ValueError, match="not a canonical rational string"):
+            with pytest.raises(cm.DomainError, match="not a canonical rational string"):
                 ser.parse_fraction(text)
 
     @pytest.mark.parametrize("digits", [4299, 4300, 4301, 20000])
@@ -293,6 +293,10 @@ class TestFigureSerialization:
         assert len(onset_rows) == 1
         assert onset_rows[0]["series"] == "r=30"
         assert onset_rows[0]["n"] == cm.find_hump_onset(30, Fraction(1, 2), 70)
+        # with no bounded series, a marker goes on the first series
+        only = cm.FigureData(2, fig.rho, fig.series[:1], {"constrained_from": 3})
+        marked = [(row["series"], row["n"]) for row in ser.figure_rows(only) if row["marker"]]
+        assert marked == [("unconstrained", 3)]
 
     def test_fig3_markers_attach_to_their_series(self):
         fig = cm.figure_dataset(3, n_max=70)

@@ -60,6 +60,9 @@ class TestRunTrajectory:
         assert cm.default_n_max(UNBOUNDED) == 50
         assert cm.default_n_max(5) == 50
         assert cm.default_n_max(30) == 90
+        # run_trajectory with no n_max ends there
+        assert cm.run_trajectory(ModelParams(HALF, 30)).points[-1].n == 90
+        assert cm.run_trajectory(ModelParams(HALF, UNBOUNDED)).points[-1].n == 50
 
     @pytest.mark.parametrize("r", [-1, 100.5, "x", True])
     def test_default_n_max_checks_r(self, r):
