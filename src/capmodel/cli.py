@@ -1,13 +1,13 @@
 """Command-line surface: argument/config parsing and dispatch.
 
 Every command is one row of `_COMMANDS`: its --help summary and its handler.
-Every flag is one row of `_FLAGS`, which builds the parser, names the keys a
-``--config`` JSON file may hold, and normalizes each value.  Config values
-are merged below explicit flags; unknown config keys are rejected, and a key
-set to null counts as left out.  `main` maps every error to its exit code:
-0 success, 1 a validation command found deviations beyond its tolerance,
-2 usage error (any `CapModelError`), 3 I/O error.  Every random draw takes an
-explicit or fixed default seed, so identical arguments give identical bytes.
+Every flag is one row of `_FLAGS`, which builds the parser and `RunConfig`,
+names the keys a ``--config`` JSON file may hold, and normalizes each value.
+Config values are merged below explicit flags; unknown keys are rejected,
+and a key set to null counts as left out.  `main` maps every error to its
+exit code: 0 success, 1 a validation command found deviations beyond its
+tolerance, 2 usage error (any `CapModelError`), 3 I/O error.  Every random
+draw takes an explicit or fixed default seed: same arguments, same bytes.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
 
 from . import serialize
 from .core import (
@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import CapModelError, DomainError
 from .figures import FIGURE_IDS, figure_dataset
-from .oracle import MODES, PER_LENGTH_BINOMIAL, validate_expectations
+from .oracle import MODES, validate_expectations
 from .trajectory import (
     evaluate_point,
     find_hump_onset,
@@ -48,24 +48,6 @@ BOTH = "both"
 
 class UsageError(CapModelError):
     """Bad command line or config file; maps to exit code 2."""
-
-
-class RunConfig(NamedTuple):
-    command: str
-    rho: Fraction | None = None
-    r: int | None = None
-    n: int | None = None
-    n_max: int | None = None
-    trials: int | None = None
-    seed: int | None = None
-    backend: str | None = None
-    output_path: str | None = None
-    format: str = "csv"
-    tol: float | None = None
-    z_max: float | None = None
-    mode: str | None = None
-    r_values: tuple[int, ...] | None = None
-    figure_id: int | None = None
 
 
 # -- normalization ----------------------------------------------------------
@@ -212,7 +194,7 @@ def parse_config(argv=None) -> RunConfig:
         if value is _REQUIRED:
             raise _fail(field, "is required")
         if value is not None:
-            kwargs[_FIELDS.get(key, key)] = normalize(value, field)
+            kwargs[key] = normalize(value, field)
     return RunConfig(**kwargs)
 
 
@@ -221,7 +203,7 @@ def parse_config(argv=None) -> RunConfig:
 
 def _emit(config: RunConfig, rows, payload) -> None:
     """Write ``rows()`` as CSV or ``payload()`` as JSON to ``--out`` or stdout."""
-    path = config.output_path
+    path = config.out
     to_file = path is not None and path != "-"
     target = open(path, "w", encoding="utf-8", newline="") if to_file else nullcontext(sys.stdout)
     with target as stream:
@@ -305,7 +287,7 @@ def _cmd_validate(config: RunConfig) -> int:
 
 
 def _cmd_figures(config: RunConfig) -> int:
-    dataset = figure_dataset(config.figure_id, config.n_max)
+    dataset = figure_dataset(config.id, config.n_max)
     _emit(config, lambda: serialize.figure_rows(dataset),
           lambda: serialize.figure_json_payload(dataset))
     return 0
@@ -340,14 +322,16 @@ _FLAGS = (
     ("n_max", ("hump",), _norm_int, 500, "scan bound"),
     ("n_max", ("validate",), _norm_int, 100, "last n"),
     ("n_max", ("figures",), _norm_int, None, "override the figure's n axis"),
-    ("backend", ("eval", "trajectory"), _one_of(EXACT, LOGFLOAT, BOTH), EXACT,
-     "exact | logfloat | both"),
-    ("backend", ("sweep",), _one_of(EXACT, LOGFLOAT), EXACT, "exact | logfloat"),
+    ("backend", ("eval", "trajectory"), _one_of(EXACT, LOGFLOAT, BOTH),
+     _library_default(ModelParams.__new__, "backend"), "exact | logfloat | both"),
+    ("backend", ("sweep",), _one_of(EXACT, LOGFLOAT), _library_default(sweep_range, "backend"),
+     "exact | logfloat"),
     ("trials", ("oracle",), partial(_norm_int, minimum=30),
      _library_default(validate_expectations, "trials"), "number of sampled books"),
     ("seed", ("oracle",), _norm_int, _library_default(validate_expectations, "base_seed"),
      "base seed"),
-    ("mode", ("oracle",), _one_of(*MODES), PER_LENGTH_BINOMIAL, "per-subset | per-length-binomial"),
+    ("mode", ("oracle",), _one_of(*MODES), _library_default(validate_expectations, "mode"),
+     "per-subset | per-length-binomial"),
     ("z_max", ("oracle",), _norm_float, 4.0, "|z| beyond this exits 1"),
     ("tol", ("validate",), _norm_float, _library_default(cross_validate, "tol"),
      "relative tolerance; beyond it exits 1"),
@@ -357,8 +341,9 @@ _FLAGS = (
      "csv", "output format: csv | json"),
 )
 
-#: RunConfig fields whose names differ from their config keys.
-_FIELDS = {"out": "output_path", "id": "figure_id"}
+#: The command, then each config key in table order; None where a command sets none.
+_KEYS = tuple(dict.fromkeys(row[0] for row in _FLAGS))
+RunConfig = namedtuple("RunConfig", ("command", *_KEYS), defaults=(None,) * len(_KEYS))
 
 
 def run(config: RunConfig) -> int:

@@ -43,7 +43,7 @@ class FigureData(NamedTuple):
 
 def figure_dataset(figure_id: int, n_max: int | None = None) -> FigureData:
     """Compute the dataset for one figure; pure and deterministic."""
-    if figure_id not in FIGURE_IDS:
+    if type(figure_id) is not int or figure_id not in FIGURE_IDS:
         raise DomainError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
     rho, ranges, marker_names = _FIGURES[figure_id]
     series, markers = [], {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     EXACT,
@@ -30,15 +30,13 @@ from .core import (
     ModelParams,
     Range,
     _check_count,
+    _check_positive,
     avg_length,
     checked_rho,
     variety,
 )
 from .errors import DomainError, ResourceLimitError
 from .scalars import Rational
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PER_SUBSET = "per-subset"
 PER_LENGTH_BINOMIAL = "per-length-binomial"
@@ -102,21 +100,30 @@ class RecipeBookSample(NamedTuple):
         return sum(self.counts_by_length)
 
 
-def _popcounts(n: int) -> np.ndarray:
+def _tables(n: int, rho: Fraction, mode: str):
+    """Each length's viability and, per-subset, each mask's size and viability: once a run."""
+    viability = [float(rho**s) for s in range(n + 1)]
+    if mode != PER_SUBSET:
+        return viability, None
     import numpy as np
     sizes = np.zeros(1, np.uint8)
     for _ in range(n):  # the masks in [2**k, 2**(k+1)) have one more bit than those below
         sizes = np.concatenate((sizes, sizes + 1))
-    return sizes
+    return viability, (sizes, np.asarray(viability)[sizes])
 
 
-def _draw(n: int, seed: int, mode: str, viability: list[float], keep_masks: bool = False):
-    """One book's counts by length and, if kept, viable masks; the caller checks every input."""
+def _draw(
+    n: int, seed: int, mode: str, viability: list[float], mask_table, keep_masks: bool = False
+):
+    """One book's counts by length and, if kept, viable masks.
+
+    ``viability`` and ``mask_table`` come from `_tables`; the caller checks every input.
+    """
     import numpy as np
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if mode == PER_SUBSET:
-        sizes = _popcounts(n)
-        viable = rng.random(1 << n) < np.asarray(viability)[sizes]
+        sizes, mask_viability = mask_table
+        viable = rng.random(1 << n) < mask_viability
         counts = np.bincount(sizes[viable], minlength=n + 1)
         masks = tuple(int(m) for m in np.nonzero(viable)[0]) if keep_masks else None
         return tuple(int(c) for c in counts), masks
@@ -138,8 +145,8 @@ def sample_recipe_book(
     rho = checked_rho(rho)
     _check_book(n, mode)
     _check_count(seed, "seed")
-    viability = [float(rho**s) for s in range(n + 1)]
-    return RecipeBookSample(n, rho, seed, mode, *_draw(n, seed, mode, viability, keep_masks))
+    counts, masks = _draw(n, seed, mode, *_tables(n, rho, mode), keep_masks)
+    return RecipeBookSample(n, rho, seed, mode, counts, masks)
 
 
 def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
@@ -197,6 +204,7 @@ class OracleReport(NamedTuple):
         return max(abs(z) for z in zs)
 
     def within(self, z_max: float) -> bool:
+        _check_positive(z_max, "z_max")
         return self.max_abs_zscore <= z_max
 
 
@@ -223,10 +231,10 @@ def validate_expectations(
     rho = ModelParams(rho, r).rho
     _check_book(n, mode)
     _check_count(base_seed, "seed")
-    viability = [float(rho**s) for s in range(n + 1)]
+    viability, mask_table = _tables(n, rho, mode)
     count_sums = [0] * (n + 1)
     for i in range(trials):
-        for s, c in enumerate(_draw(n, trial_seed(base_seed, i), mode, viability)[0]):
+        for s, c in enumerate(_draw(n, trial_seed(base_seed, i), mode, viability, mask_table)[0]):
             count_sums[s] += c
     # both window sums are linear in the counts, so they are taken once, over all trials
     lo = _window_lo(n, r)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import IO
 
-from .core import Range, Stage, UNBOUNDED
+from .core import Range, Stage, UNBOUNDED, _coprime
 from .errors import DomainError
 from .figures import FigureData
 from .scalars import LogScalar
@@ -29,7 +29,7 @@ _LN10 = math.log(10.0)
 _LOG10_2 = math.log10(2.0)
 _SIG = 12
 _LOW, _HIGH = 10 ** (_SIG - 1), 10**_SIG  # the 12-digit integers
-_CANONICAL = re.compile(r"-?[0-9]+/[0-9]+")
+_CANONICAL = re.compile(r"(-?[1-9][0-9]*|0)/[1-9][0-9]*")
 
 
 def _int_str(value: int) -> str:
@@ -59,11 +59,12 @@ def fraction_str(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Inverse of `fraction_str`, for integers of any length."""
-    if not _CANONICAL.fullmatch(text):
-        raise DomainError(f"not a canonical rational string: {text!r}")
-    numerator, denominator = text.split("/")
-    return Fraction(_str_int(numerator), _str_int(denominator))
+    """Inverse of `fraction_str`, for integers of any length; it takes nothing else."""
+    if _CANONICAL.fullmatch(text):
+        numerator, denominator = map(_str_int, text.split("/"))
+        if math.gcd(numerator, denominator) == 1:
+            return _coprime(numerator, denominator)
+    raise DomainError(f"not a canonical rational string: {text!r}")
 
 
 def range_str(r: Range) -> str:

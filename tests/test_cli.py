@@ -27,7 +27,7 @@ class TestParseConfig:
             n=40,
             backend="exact",
             format="csv",
-            output_path=None,
+            out=None,
         )
 
     def test_unbounded_token(self):

@@ -255,12 +255,12 @@ class TestCrossValidate:
         with pytest.raises(cm.DomainError):
             cm.cross_validate(5, HALF, 2, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [-1e-9, math.nan, True, "x", None, 1j])
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, True, "x", None, 1j])
     def test_tol_must_be_a_positive_real(self, tol):
         with pytest.raises(cm.DomainError):
             cm.cross_validate(5, HALF, 2, tol=tol)
 
-    @pytest.mark.parametrize("tol", [1, Fraction(1, 10**9), math.inf])
+    @pytest.mark.parametrize("tol", [1, Fraction(1, 10**9)])
     def test_any_positive_real_tol_accepted(self, tol):
         assert cm.cross_validate(5, HALF, 2, tol=tol).ok
 

@@ -106,9 +106,10 @@ class TestSampleRecipeBook:
 
         for n in range(17):
             expected = np.array([mask.bit_count() for mask in range(1 << n)], dtype=np.uint8)
-            sizes = oracle._popcounts(n)
+            sizes, mask_viability = oracle._tables(n, HALF, PER_SUBSET)[1]
             assert sizes.dtype == np.uint8
             assert np.array_equal(sizes, expected), n
+            assert np.array_equal(mask_viability, 0.5**expected), n
 
 
 class TestEmpiricalStats:
@@ -161,6 +162,13 @@ class TestValidateExpectations:
         assert report.per_length_zscores == tuple([0.0] * 9)
         assert report.empirical_variety == report.expected_variety == 2.0**8
 
+    @pytest.mark.parametrize("z_max", [math.inf, math.nan, 0.0, -1.0, True, "4"])
+    def test_within_needs_a_positive_finite_threshold(self, z_max):
+        report = cm.validate_expectations(4, HALF, trials=30)
+        assert report.within(1e9) and not report.within(1e-300)
+        with pytest.raises(cm.DomainError):
+            report.within(z_max)
+
     def test_requires_thirty_trials(self):
         with pytest.raises(cm.DomainError):
             cm.validate_expectations(8, HALF, trials=29, base_seed=1)
@@ -202,8 +210,9 @@ class TestValidateExpectations:
         monkeypatch.setattr(oracle, "sample_recipe_book", lambda *args: pytest.fail("resampled"))
         cm.validate_expectations(6, HALF, trials=40, base_seed=3, mode=mode)
         assert [args[1] for args in draws] == [cm.trial_seed(3, i) for i in range(40)]
-        assert all(args[3] is draws[0][3] for args in draws)
+        assert all(args[3] is draws[0][3] and args[4] is draws[0][4] for args in draws)
         assert draws[0][3] == [float(HALF**s) for s in range(7)]
+        assert (draws[0][4] is None) == (mode == PER_LENGTH_BINOMIAL)
 
     def test_deterministic_reports(self):
         a = cm.validate_expectations(10, HALF, trials=60, base_seed=777)

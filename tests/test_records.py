@@ -70,7 +70,7 @@ def test_unpacking_replace_and_asdict(built):
 
 def test_keyword_construction_keeps_the_defaults():
     config = RunConfig(command="eval")
-    assert config.format == "csv" and config.rho is None and config.figure_id is None
+    assert config.format is None and config.rho is None and config.id is None
     figure = cm.FigureData(1, HALF, ())
     assert figure.markers == {}
     with pytest.raises(TypeError):

@@ -138,9 +138,20 @@ class TestFractionStrings:
     def test_parse_round_trip(self):
         for value in (Fraction(8), Fraction(-5, 16), Fraction(10**40, 3**20)):
             assert ser.parse_fraction(ser.fraction_str(value)) == value
-        for text in ("8", "3/2 ", "+3/2", "1.5/1", "0x3/2"):
+        # only what `fraction_str` writes: no zero or leading-zero parts, no -0, lowest terms
+        bad = ("8", "3/2 ", "+3/2", "1.5/1", "0x3/2", "1/0", "0/0", "03/2", "2/4", "-0/5", "-0/1")
+        for text in bad:
             with pytest.raises(cm.DomainError, match="not a canonical rational string"):
                 ser.parse_fraction(text)
+        # every short ratio: accepted exactly when `fraction_str` gives it back
+        digits = [str(i) for i in range(10)] + [f"{i:02d}" for i in range(100)]
+        for text in (f"{sign}{a}/{b}" for sign in ("", "-") for a in digits for b in digits):
+            numerator, denominator = (int(part) for part in text.split("/"))
+            if denominator and ser.fraction_str(Fraction(numerator, denominator)) == text:
+                assert ser.parse_fraction(text) == Fraction(numerator, denominator)
+            else:
+                with pytest.raises(cm.DomainError):
+                    ser.parse_fraction(text)
 
     @pytest.mark.parametrize("digits", [4299, 4300, 4301, 20000])
     def test_round_trip_past_the_digit_limit(self, digits):

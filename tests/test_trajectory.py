@@ -205,3 +205,9 @@ class TestFigureDatasets:
     def test_invalid_id(self):
         with pytest.raises(cm.DomainError):
             cm.figure_dataset(4)
+
+    @pytest.mark.parametrize("figure_id", [True, 1.0, 2.0])
+    def test_id_must_be_an_int(self, figure_id):
+        # each equals a valid id, and would otherwise be stamped into the record
+        with pytest.raises(cm.DomainError):
+            cm.figure_dataset(figure_id)
