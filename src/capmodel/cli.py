@@ -8,12 +8,17 @@ and a key set to null counts as left out.  `main` maps every error to its
 exit code: 0 success, 1 a validation command found deviations beyond its
 tolerance, 2 usage error (any `CapModelError`), 3 I/O error.  Every random
 draw takes an explicit or fixed default seed: same arguments, same bytes.
+
+A process pays only for the command it runs: the parser gives flags to that
+command's subparser alone, `json` is imported only to read or write JSON,
+and `entry_point` (``python -m capmodel`` and the ``capmodel`` script) ends
+the process without the interpreter's final sweep over live objects.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import sys
 from collections import namedtuple
@@ -140,7 +145,14 @@ def _library_default(function, name: str):
     return function.__defaults__[names.index(name) - len(names)]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command, flags only where they are parsed.
+
+    When ``argv[0]`` names a command, only that command's subparser gets its
+    flags: no other subparser is ever reached.  Otherwise (no ``argv``, no
+    command, ``--help``, a misspelt name) every subparser gets its flags.
+    """
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="capmodel",
         description="Combinatorial capability model: variety, complexity, stages, hump.",
@@ -148,6 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
+        if named not in (None, command):
+            continue
         for key, commands, _, default, text in _FLAGS:
             if command in commands:
                 if default is not None and default is not _REQUIRED:
@@ -158,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             values = json.load(fh)
@@ -174,8 +190,11 @@ def parse_config(argv=None) -> RunConfig:
     """Parse argv (and an optional JSON config file) into a RunConfig.
 
     Precedence: built-in defaults < config file < explicit flags.
+    ``argv`` defaults to ``sys.argv[1:]``.
     """
-    args = vars(build_parser().parse_args(argv))
+    if argv is None:
+        argv = sys.argv[1:]
+    args = vars(build_parser(argv).parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config")
     rows = [row for row in _FLAGS if command in row[1]]
@@ -364,5 +383,19 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry_point() -> None:
+    """Run `main` on ``sys.argv`` and exit the process with its code.
+
+    `gc.freeze` first moves every live object to the permanent generation,
+    which the interpreter's final collection does not visit.  Nothing the
+    process still needs depends on that collection: ``--out`` is already
+    closed, and exit still flushes stdout and stderr and runs `atexit`.
+    `main` itself, the in-process API, never freezes.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

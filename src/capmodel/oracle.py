@@ -101,33 +101,35 @@ class RecipeBookSample(NamedTuple):
 
 
 def _tables(n: int, rho: Fraction, mode: str):
-    """Each length's viability and, per-subset, each mask's size and viability: once a run."""
+    """Each length's viability and the draw's table: once a run.
+
+    Per length, the table holds each C(n, s) as int64 (C(64, 32) < 2**63);
+    per subset, each mask's size and viability.
+    """
     viability = [float(rho**s) for s in range(n + 1)]
-    if mode != PER_SUBSET:
-        return viability, None
     import numpy as np
+    if mode != PER_SUBSET:
+        return viability, np.array([math.comb(n, s) for s in range(n + 1)], np.int64)
     sizes = np.zeros(1, np.uint8)
     for _ in range(n):  # the masks in [2**k, 2**(k+1)) have one more bit than those below
         sizes = np.concatenate((sizes, sizes + 1))
     return viability, (sizes, np.asarray(viability)[sizes])
 
 
-def _draw(
-    n: int, seed: int, mode: str, viability: list[float], mask_table, keep_masks: bool = False
-):
+def _draw(n: int, seed: int, mode: str, viability: list[float], table, keep_masks: bool = False):
     """One book's counts by length and, if kept, viable masks.
 
-    ``viability`` and ``mask_table`` come from `_tables`; the caller checks every input.
+    ``viability`` and ``table`` come from `_tables`; the caller checks every input.
     """
     import numpy as np
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if mode == PER_SUBSET:
-        sizes, mask_viability = mask_table
+        sizes, mask_viability = table
         viable = rng.random(1 << n) < mask_viability
         counts = np.bincount(sizes[viable], minlength=n + 1)
         masks = tuple(int(m) for m in np.nonzero(viable)[0]) if keep_masks else None
         return tuple(int(c) for c in counts), masks
-    return tuple(int(rng.binomial(math.comb(n, s), viability[s])) for s in range(n + 1)), None
+    return tuple(int(c) for c in rng.binomial(table, viability)), None
 
 
 def sample_recipe_book(
@@ -231,10 +233,10 @@ def validate_expectations(
     rho = ModelParams(rho, r).rho
     _check_book(n, mode)
     _check_count(base_seed, "seed")
-    viability, mask_table = _tables(n, rho, mode)
+    viability, table = _tables(n, rho, mode)
     count_sums = [0] * (n + 1)
     for i in range(trials):
-        for s, c in enumerate(_draw(n, trial_seed(base_seed, i), mode, viability, mask_table)[0]):
+        for s, c in enumerate(_draw(n, trial_seed(base_seed, i), mode, viability, table)[0]):
             count_sums[s] += c
     # both window sums are linear in the counts, so they are taken once, over all trials
     lo = _window_lo(n, r)

@@ -6,13 +6,13 @@ are split in halves by ``10**k``, as in gh-90716.  Float columns carry 12
 significant digits (positional for exponents in [-4, 16), else scientific),
 rounded half to even from the exact value: by the correctly rounded ``dtoa``
 of ``format(x, ".11e")`` for a double (Gay 1990), by one integer division
-for a rational.  Identical inputs always produce identical bytes.
+for a rational.  Identical inputs always produce identical bytes.  `csv`
+and `json` are imported only where they are used, so a CSV command loads
+neither.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import re
 import sys
@@ -156,19 +156,22 @@ def write_csv(rows: list[dict], stream: IO[str]) -> None:
     `csv.writer` would quote or reject goes through it, so the bytes are its.
     """
     columns = list(rows[0])
-    writer = csv.writer(stream, lineterminator="\n")
     for cells in chain([columns], ([_cell(row[col]) for col in columns] for row in rows)):
         line = ",".join(cells)
         # quotes, line breaks, NUL (3.10 rejects it), a stray comma, one empty cell
         if '"' in line or "\n" in line or "\r" in line or "\0" in line or (
             line.count(",") != len(columns) - 1 or not line
         ):
-            writer.writerow(cells)
+            import csv
+
+            csv.writer(stream, lineterminator="\n").writerow(cells)
         else:
             stream.write(line + "\n")
 
 
 def write_json(payload, stream: IO[str]) -> None:
+    import json
+
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
@@ -246,10 +249,14 @@ def parse_trajectory_row(row: dict) -> dict:
 
 
 def read_trajectory_csv(stream: IO[str]) -> list[dict]:
+    import csv
+
     return [parse_trajectory_row(row) for row in csv.DictReader(stream)]
 
 
 def read_trajectory_json(stream: IO[str]) -> dict:
+    import json
+
     payload = json.load(stream)
     payload["points"] = [parse_trajectory_row(row) for row in payload["points"]]
     return payload

@@ -9,7 +9,7 @@ import pytest
 
 import capmodel as cm
 from capmodel import UNBOUNDED
-from capmodel.cli import RunConfig, UsageError, main, parse_config
+from capmodel.cli import _COMMANDS, RunConfig, UsageError, build_parser, main, parse_config
 from capmodel.serialize import read_trajectory_csv
 
 
@@ -58,6 +58,26 @@ class TestParseConfig:
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [[], ["evl"], ["-h"]], ids=["none", "typo", "help"])
+    def test_full_parser_lists_every_command(self, capsys, argv):
+        assert run_cli(argv) == (0 if argv == ["-h"] else 2)
+        captured = capsys.readouterr()
+        assert "{" + ",".join(_COMMANDS) + "}" in captured.out + captured.err
+        if argv == ["-h"]:
+            for command, (summary, _) in _COMMANDS.items():
+                assert f"{command}  " in captured.out and summary in captured.out
+
+    def test_only_the_named_command_gets_flags(self):
+        def subparsers(argv):
+            return next(a for a in build_parser(argv)._actions if a.dest == "command").choices
+
+        full = subparsers(None)
+        for command in _COMMANDS:
+            named = subparsers([command, "--rho", "1"])
+            assert list(named) == list(_COMMANDS)
+            assert named[command].format_help() == full[command].format_help()
+            assert all(len(p._actions) == 1 for name, p in named.items() if name != command)
 
     def test_config_file_merge(self, tmp_path):
         config_path = tmp_path / "run.json"

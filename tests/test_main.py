@@ -1,38 +1,46 @@
 """``python -m capmodel`` as a fresh process: exit codes, bytes, and imports.
 
 Every other CLI test calls ``main()`` in-process, where the test session has
-long since imported numpy, `dataclasses` and `inspect`.  Only a new
-interpreter shows that importing the package, and every command but
+long since imported numpy, `dataclasses`, `inspect`, `json` and `csv`.  Only
+a new interpreter shows that importing the package, and every command but
 ``oracle``, leaves numpy unloaded and loads neither `dataclasses` nor
-`inspect`, which the NamedTuple records and the flag table do without.  A
+`inspect`, which the NamedTuple records and the flag table do without, and
+that a command loads `json` only to write JSON and `csv` not at all.  A
 ``.pth`` file in site-packages may import modules before ``-c`` runs, so the
 guard compares with the modules present before the import.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from capmodel import cli
 from capmodel.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # After an import or a command: numpy never entered ``sys.modules``, and
-# neither `dataclasses` nor `inspect` was loaded since ``before``.
+# neither `dataclasses`, `inspect` nor a module in ``unused`` was loaded
+# since ``before``.
 GUARD = """
 assert "numpy" not in sys.modules, "numpy was imported"
-loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+loaded = ({"dataclasses", "inspect"} | unused) & (set(sys.modules) - before)
 assert not loaded, f"{sorted(loaded)} were imported"
 """
 
-# Runs ``capmodel`` with the arguments after ``-c`` as ``__main__``, applies
-# the guard, and exits with the command's code.
-PROBE = """
+
+def _probe(unused):
+    """Runs ``capmodel`` with the arguments after ``-c`` as ``__main__``,
+    applies the guard, and exits with the command's code."""
+    return f"""
 import runpy, sys
+unused = {set(unused)!r}
 before = set(sys.modules)
 sys.argv[0] = "capmodel"
 try:
@@ -64,14 +72,17 @@ def _python(*args, cwd):
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):
-    script = "import sys\nbefore = set(sys.modules)\nimport capmodel\n" + GUARD
+    script = 'import sys\nunused = {"json", "csv"}\nbefore = set(sys.modules)\nimport capmodel\n'
+    script += GUARD
     result = _python("-c", script, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("args", NON_SAMPLING, ids=lambda args: args[0])
 def test_command_runs_without_numpy(args, tmp_path):
-    result = _python("-c", PROBE, *args, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    # every command but hump writes CSV by default, and no output here needs quoting
+    unused = {"csv"} if args[0] == "hump" else {"json", "csv"}
+    result = _python("-c", _probe(unused), *args, "--out", str(tmp_path / "out"), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out").stat().st_size > 0
 
@@ -79,7 +90,8 @@ def test_command_runs_without_numpy(args, tmp_path):
 @pytest.mark.parametrize("n", ["-1", "x", "65"])
 def test_bad_oracle_n_exits_2_without_numpy(n, tmp_path):
     # -1 and x fail in parsing, 65 in the oracle's own size check
-    result = _python("-c", PROBE, "oracle", "--n", n, "--rho", "0.5", cwd=tmp_path)
+    probe = _probe({"json", "csv"})
+    result = _python("-c", probe, "oracle", "--n", n, "--rho", "0.5", cwd=tmp_path)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error:")
 
@@ -90,6 +102,52 @@ def test_oracle_process_matches_in_process(tmp_path, capsys):
     assert main([*ORACLE, "--out", str(tmp_path / "inline.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["validate", "--rho", "1/2", "--r", "10", "--n-max", "40", "--tol", "1e-300"], 1),
+        (["eval", "--rho", "3/2", "--n", "5"], 2),
+        (["hump", "--rho", "1/2", "--r", "30", "--out", "{tmp}/missing/out.json"], 3),
+    ],
+    ids=["deviation", "usage", "io"],
+)
+def test_process_exit_matches_in_process(args, code, tmp_path, capsys):
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    result = _python("-m", "capmodel", *args, cwd=tmp_path)
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, captured.err)
+
+
+def test_only_the_process_entry_freezes(monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(cli, "gc", SimpleNamespace(freeze=lambda: frozen.append(True)))
+    args = ["hump", "--rho", "1/2", "--r", "30"]
+    assert main(args) == 0 and frozen == []
+    monkeypatch.setattr(sys, "argv", ["capmodel", *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry_point()
+    assert exc.value.code == 0 and frozen == [True]
+    assert capsys.readouterr().out.endswith("hump onset: 58\n")
+
+
+def test_installed_script_runs_what_python_m_runs():
+    # a regex, not tomllib, so that this also runs on 3.10
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^capmodel = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+    assert script, "no capmodel line in [project.scripts]"
+    tree = ast.parse((SRC / "capmodel" / "__main__.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    imported = {
+        f"capmodel.{node.module}:{alias.name}"
+        for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    called = [n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert called == [script[2]]
+    assert f"{script[1]}:{script[2]}" in imported
 
 
 def test_cli_module_runs_as_main(tmp_path):

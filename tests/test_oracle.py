@@ -99,6 +99,24 @@ class TestSampleRecipeBook:
         with pytest.raises(cm.DomainError):
             cm.sample_recipe_book(5, 0, seed=1)
 
+    def test_one_array_draw_matches_the_scalar_draws(self):
+        # one rng.binomial over every length draws what n + 1 scalar calls did
+        import numpy as np
+
+        from capmodel import oracle
+
+        for n in (0, 1, 8, 9, 10, 16, 64):
+            for rho in (HALF, Fraction(3, 4), Fraction(9, 10), Fraction(1)):
+                viability, combs = oracle._tables(n, rho, PER_LENGTH_BINOMIAL)
+                assert combs.dtype == np.int64
+                for seed in range(0, 3000, 97):
+                    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+                    scalar = tuple(
+                        int(rng.binomial(math.comb(n, s), viability[s])) for s in range(n + 1)
+                    )
+                    drawn = oracle._draw(n, seed, PER_LENGTH_BINOMIAL, viability, combs)
+                    assert drawn == (scalar, None), (n, rho, seed)
+
     def test_popcounts_by_doubling(self):
         import numpy as np
 
@@ -212,7 +230,10 @@ class TestValidateExpectations:
         assert [args[1] for args in draws] == [cm.trial_seed(3, i) for i in range(40)]
         assert all(args[3] is draws[0][3] and args[4] is draws[0][4] for args in draws)
         assert draws[0][3] == [float(HALF**s) for s in range(7)]
-        assert (draws[0][4] is None) == (mode == PER_LENGTH_BINOMIAL)
+        if mode == PER_LENGTH_BINOMIAL:  # the binomial coefficients, else (sizes, viability)
+            assert draws[0][4].tolist() == [math.comb(6, s) for s in range(7)]
+        else:
+            assert len(draws[0][4]) == 2
 
     def test_deterministic_reports(self):
         a = cm.validate_expectations(10, HALF, trials=60, base_seed=777)
