@@ -4,10 +4,14 @@ Every command is one row of `_COMMANDS`: its --help summary and its handler.
 Every flag is one row of `_FLAGS`, which builds the parser and `RunConfig`,
 names the keys a ``--config`` JSON file may hold, and normalizes each value.
 Config values are merged below explicit flags; unknown keys are rejected,
-and a key set to null counts as left out.  `main` maps every error to its
-exit code: 0 success, 1 a validation command found deviations beyond its
-tolerance, 2 usage error (any `CapModelError`), 3 I/O error.  Every random
-draw takes an explicit or fixed default seed: same arguments, same bytes.
+and a key set to null counts as left out.  A rejected value raises
+`DomainError`, from the library's own rule where it has one, and
+`parse_config` is the one place that puts the flag's name on its message;
+only ``hump``'s rule between two flags, ``--n-max`` >= r + 1, names its own.
+`main` maps every error to its exit code: 0 success, 1 a validation command
+found deviations beyond its tolerance, 2 a bad input (`DomainError` or
+`ResourceLimitError`), 3 I/O error.  Every random draw takes an explicit or
+fixed default seed: same arguments, same bytes.
 
 A process pays only for the command it runs: the parser gives flags to that
 command's subparser alone, `json` is imported only to read or write JSON,
@@ -19,12 +23,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
 
 from . import serialize
 from .core import (
@@ -32,6 +34,8 @@ from .core import (
     LOGFLOAT,
     ModelParams,
     UNBOUNDED,
+    _check_count,
+    _check_positive,
     _cross_checks,
     checked_rho,
     cross_validate,
@@ -51,90 +55,77 @@ FORMATS = ("csv", "json")
 BOTH = "both"
 
 
-class UsageError(CapModelError):
-    """Bad command line or config file; maps to exit code 2."""
-
-
 # -- normalization ----------------------------------------------------------
 
 
-def _fail(field: str, message: str) -> UsageError:
-    return UsageError(f"{field}: {message}")
-
-
-def _norm_rho(value, field: str) -> Fraction:
+def _norm_rho(value) -> Fraction:
     if isinstance(value, float):
-        raise _fail(field, "floats are inexact; pass a string like '0.5' or a ratio '1/2'")
-    try:
-        return checked_rho(value)
-    except DomainError as exc:
-        raise _fail(field, str(exc)) from exc
+        raise DomainError("floats are inexact; pass a string like '0.5' or a ratio '1/2'")
+    return checked_rho(value)
 
 
-def _norm_range(value, field: str):
+def _norm_range(value):
     if value == "unbounded":
         return UNBOUNDED
     try:
-        return _norm_int(value, field)
-    except UsageError:
-        raise _fail(field, f"expected a nonnegative integer or 'unbounded', got {value!r}") from None
+        return _norm_int(value)
+    except DomainError:
+        raise DomainError(f"expected a nonnegative integer or 'unbounded', got {value!r}") from None
 
 
-def _norm_int(value, field: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or (not isinstance(value, (int, str))):
-        raise _fail(field, f"expected an integer, got {value!r}")
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise _fail(field, f"expected an integer, got {value!r}") from None
-    if parsed < minimum:
-        raise _fail(field, f"must be >= {minimum}, got {parsed}")
-    return parsed
+def _norm_int(value) -> int:
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            raise DomainError(f"expected an integer, got {value!r}") from None
+    _check_count(value, "the value")
+    return value
 
 
-def _norm_float(value, field: str) -> float:
-    if isinstance(value, bool):
-        raise _fail(field, f"expected a number, got {value!r}")
-    try:
-        parsed = float(value)
-    except (TypeError, ValueError):
-        raise _fail(field, f"expected a number, got {value!r}") from None
-    if not 0 < parsed < math.inf:
-        raise _fail(field, f"must be positive and finite, got {parsed}")
-    return parsed
+def _norm_float(value) -> float:
+    if type(value) is int:  # read as its text would be: past the double range, inf
+        value = str(value)
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            raise DomainError(f"expected a number, got {value!r}") from None
+    _check_positive(value, "the value")
+    return value
 
 
 def _one_of(*choices: str):
-    def normalize(value, field: str) -> str:
+    def normalize(value) -> str:
         if value not in choices:
-            raise _fail(field, f"expected one of {', '.join(choices)}; got {value!r}")
+            raise DomainError(f"expected one of {', '.join(choices)}; got {value!r}")
         return value
 
     return normalize
 
 
-def _norm_r_values(value, field: str) -> tuple[int, ...]:
+def _norm_r_values(value) -> tuple[int, ...]:
     if isinstance(value, str):
         parts = [part.strip() for part in value.split(",") if part.strip()]
     elif isinstance(value, (list, tuple)):
         parts = list(value)
     else:
-        raise _fail(field, f"expected a comma-separated list, got {value!r}")
+        raise DomainError(f"expected a comma-separated list, got {value!r}")
     if not parts:
-        raise _fail(field, "must be nonempty")
-    return tuple(_norm_int(part, field) for part in parts)
+        raise DomainError("must be nonempty")
+    return tuple(_norm_int(part) for part in parts)
 
 
-def _norm_figure_id(value, field: str) -> int:
-    figure_id = _norm_int(value, field)
+def _norm_figure_id(value) -> int:
+    figure_id = _norm_int(value)
     if figure_id not in FIGURE_IDS:
-        raise _fail(field, f"must be one of {FIGURE_IDS}, got {figure_id}")
+        raise DomainError(f"must be one of {FIGURE_IDS}, got {figure_id}")
     return figure_id
 
 
-def _norm_path(value, field: str) -> str:
+def _norm_path(value) -> str:
     if not isinstance(value, str):
-        raise _fail(field, f"expected a path string, got {value!r}")
+        raise DomainError(f"expected a path string, got {value!r}")
     return value
 
 
@@ -178,11 +169,11 @@ def _read_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             values = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"config: cannot read {path!r}: {exc}") from exc
+        raise DomainError(f"config: cannot read {path!r}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
-        raise UsageError(f"config: invalid JSON in {path!r}: {exc}") from exc
+        raise DomainError(f"config: invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(values, dict):
-        raise UsageError("config: top level must be a JSON object")
+        raise DomainError("config: top level must be a JSON object")
     return values
 
 
@@ -203,17 +194,19 @@ def parse_config(argv=None) -> RunConfig:
     keys = {row[0] for row in rows}
     for key in merged:
         if key not in keys:
-            raise UsageError(f"config: unknown key {key!r} for command {command!r}")
+            raise DomainError(f"config: unknown key {key!r} for command {command!r}")
     merged.update((key, value) for key, value in args.items() if value is not None)
 
     kwargs: dict = {"command": command}
     for key, _, normalize, default, _ in rows:
         value = default if merged.get(key) is None else merged[key]
-        field = key.replace("_", "-")
-        if value is _REQUIRED:
-            raise _fail(field, "is required")
-        if value is not None:
-            kwargs[key] = normalize(value, field)
+        try:
+            if value is _REQUIRED:
+                raise DomainError("is required")
+            if value is not None:
+                kwargs[key] = normalize(value)
+        except DomainError as exc:
+            raise DomainError(f"{key.replace('_', '-')}: {exc}") from exc
     return RunConfig(**kwargs)
 
 
@@ -267,7 +260,7 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 def _cmd_hump(config: RunConfig) -> int:
     if config.n_max < config.r + 1:
-        raise _fail("n-max", f"must be at least r + 1 = {config.r + 1}, got {config.n_max}")
+        raise DomainError(f"n-max: must be at least r + 1 = {config.r + 1}, got {config.n_max}")
     onset = find_hump_onset(config.r, config.rho, config.n_max)
     row = serialize.hump_payload(config.rho, config.r, config.n_max, onset)
     _emit(config, lambda: [row], lambda: row)
@@ -345,7 +338,7 @@ _FLAGS = (
      _library_default(ModelParams.__new__, "backend"), "exact | logfloat | both"),
     ("backend", ("sweep",), _one_of(EXACT, LOGFLOAT), _library_default(sweep_range, "backend"),
      "exact | logfloat"),
-    ("trials", ("oracle",), partial(_norm_int, minimum=30),
+    ("trials", ("oracle",), _norm_int,
      _library_default(validate_expectations, "trials"), "number of sampled books"),
     ("seed", ("oracle",), _norm_int, _library_default(validate_expectations, "base_seed"),
      "base seed"),

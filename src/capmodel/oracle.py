@@ -25,15 +25,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
-    EXACT,
     UNBOUNDED,
     ModelParams,
     Range,
     _check_count,
     _check_positive,
-    avg_length,
+    _check_range,
+    _window_sums,
     checked_rho,
-    variety,
 )
 from .errors import DomainError, ResourceLimitError
 from .scalars import Rational
@@ -69,7 +68,7 @@ def enumerate_products(n: int, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
     backend at rho = 1 by construction, which is what makes it an oracle.
     """
     _check_count(n)
-    ModelParams(1, r)
+    _check_range(r)
     if n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
             f"enumeration is limited to n <= {ENUMERATION_MAX_N} (2**n subsets), got {n}"
@@ -230,7 +229,8 @@ def validate_expectations(
     """
     if not isinstance(trials, int) or trials < 30:
         raise DomainError(f"trials must be an integer >= 30, got {trials!r}")
-    rho = ModelParams(rho, r).rho
+    params = ModelParams(rho, r)
+    rho = params.rho
     _check_book(n, mode)
     _check_count(base_seed, "seed")
     viability, table = _tables(n, rho, mode)
@@ -251,17 +251,16 @@ def validate_expectations(
         for s in range(n + 1)
     )
 
-    expected_var = float(variety(n, rho, r, EXACT))
+    sums = _window_sums(n, params, n)
+    expected_var, expected_avg = float(sums.variety(n)), float(sums.avg_length(n))
+    var_cnt = sum(count_vars[lo:])
     emp_var = variety_sum / trials
-    var_se = math.sqrt(sum(count_vars[lo:]) / trials)
-    z_var = _zscore(emp_var - expected_var, var_se)
+    z_var = _zscore(emp_var - expected_var, math.sqrt(var_cnt / trials))
 
-    expected_avg = float(avg_length(n, rho, r, EXACT))
     emp_avg = length_sum / variety_sum if variety_sum else 0.0
     # delta-method variance of the pooled ratio sum(lengths)/sum(counts)
     var_len = sum(s * s * count_vars[s] for s in range(lo, n + 1))
     cov = sum(s * count_vars[s] for s in range(lo, n + 1))
-    var_cnt = sum(count_vars[lo:])
     ratio_var = var_len - 2.0 * expected_avg * cov + expected_avg**2 * var_cnt
     avg_se = math.sqrt(max(ratio_var, 0.0) / trials) / expected_var if expected_var else 0.0
     z_avg = _zscore(emp_avg - expected_avg, avg_se)

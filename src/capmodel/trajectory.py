@@ -28,7 +28,9 @@ from .core import (
     Scalar,
     Stage,
     UNBOUNDED,
+    _check_count,
     _check_range,
+    _hump,
     _window_sums,
     _WindowSums,
     checked_rho,
@@ -105,13 +107,16 @@ def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     """
     if r is UNBOUNDED:
         raise DomainError("r must be a bounded nonnegative integer, got UNBOUNDED")
-    sums = _window_sums(n_max, ModelParams(rho, r), 0, "n_max")
+    rho = checked_rho(rho)
+    _check_range(r)
+    _check_count(n_max, "n_max")
     if n_max < r + 1:
         raise DomainError(f"n_max must be at least r + 1 = {r + 1}, got {n_max!r}")
+    p, q = rho.numerator, rho.denominator
     lo, hi = r + 1, n_max + 1  # plain ints: bisect over a range overflows past sys.maxsize
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if sums.hump(mid) else (mid + 1, hi)
+        lo, hi = (lo, mid) if _hump(mid, r, p, q) else (mid + 1, hi)
     return lo if lo <= n_max else None
 
 

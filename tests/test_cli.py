@@ -9,7 +9,7 @@ import pytest
 
 import capmodel as cm
 from capmodel import UNBOUNDED
-from capmodel.cli import _COMMANDS, RunConfig, UsageError, build_parser, main, parse_config
+from capmodel.cli import _COMMANDS, RunConfig, build_parser, main, parse_config
 from capmodel.serialize import read_trajectory_csv
 
 
@@ -39,7 +39,6 @@ class TestParseConfig:
     def test_rho_out_of_range_is_usage_error(self, capsys):
         assert run_cli(["eval", "--rho", "1.5", "--r", "1", "--n", "3"]) == 2
         assert "rho" in capsys.readouterr().err
-        assert issubclass(UsageError, cm.CapModelError)
 
     def test_rho_float_notation_rejected(self, capsys):
         assert run_cli(["eval", "--rho", "5e-1", "--r", "1", "--n", "3"]) == 2
@@ -130,7 +129,9 @@ class TestParseConfig:
         assert run_cli(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {field}: must be positive and finite, got inf\n"
+        assert captured.err == (
+            f"error: {field}: the value must be a positive finite real number, got inf\n"
+        )
 
     @pytest.mark.parametrize(
         "command, text, key, field",
@@ -144,7 +145,19 @@ class TestParseConfig:
         config_path.write_text(text)
         assert json.loads(config_path.read_text())[key] == float("inf")
         assert run_cli([command, "--config", str(config_path)]) == 2
-        assert capsys.readouterr().err == f"error: {field}: must be positive and finite, got inf\n"
+        assert capsys.readouterr().err == (
+            f"error: {field}: the value must be a positive finite real number, got inf\n"
+        )
+
+    def test_config_integer_past_the_double_range_is_rejected(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"rho": "1/2", "n_max": 3, "tol": 1' + "0" * 400 + "}")
+        assert run_cli(["validate", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: tol: the value must be a positive finite real number, got inf\n"
+        )
 
     @pytest.mark.parametrize(
         "values, flags",

@@ -1,7 +1,8 @@
 """Property tests of the error contract, for the CLI and for the library.
 
 CLI: any value a flag's normalizer must reject, given as a config key or as
-a flag, exits 2 with one ``error:`` line and nothing on stdout.  The flags
+a flag, exits 2 with one ``error:`` line and nothing on stdout, and in
+process `parse_config` then `run` raise `DomainError` for it.  The flags
 are drawn from ``cli._FLAGS``, so a row added later is covered as well.
 
 Library: every public function given a bad scalar argument either returns
@@ -16,12 +17,13 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capmodel as cm
 from capmodel import DomainError, ModelParams, ResourceLimitError
-from capmodel.cli import _FLAGS, _REQUIRED, main
+from capmodel.cli import _FLAGS, _REQUIRED, main, parse_config, run
 
 # -- CLI ----------------------------------------------------------------------
 
@@ -63,13 +65,17 @@ def _run(args) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def _assert_usage_error(result, args) -> None:
-    code, stdout, stderr = result
+def _assert_usage_error(args) -> str:
+    """Check the exit code, the output and the error type; return stderr."""
+    code, stdout, stderr = _run(args)
     assert code == 2, args
     assert stdout == "", args
     assert "Traceback" not in stderr, args
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), (args, stderr)
+    with pytest.raises(DomainError), redirect_stdout(io.StringIO()):
+        run(parse_config(args))
+    return stderr
 
 
 @settings(max_examples=120, deadline=None)
@@ -87,11 +93,19 @@ def test_every_flag_rejects_bad_values_with_exit_two(data):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({**required, key: value}, fh)
         args = [command, "--config", path]
-        _assert_usage_error(_run(args), args)
+        _assert_usage_error(args)
     if isinstance(value, str):
         flags = [item for k, v in required.items() for item in ("--" + k.replace("_", "-"), str(v))]
         args = [command, "--" + key.replace("_", "-"), value, *flags]
-        _assert_usage_error(_run(args), args)
+        _assert_usage_error(args)
+
+
+@pytest.mark.parametrize("trials", ["0", "29"])
+def test_oracle_trials_minimum_is_checked_before_any_output(tmp_path, trials):
+    out = tmp_path / "x.csv"
+    args = ["oracle", "--rho", "1/2", "--n", "3", "--trials", trials, "--out", str(out)]
+    assert "trials" in _assert_usage_error(args)
+    assert not out.exists()
 
 
 # -- library --------------------------------------------------------------------
