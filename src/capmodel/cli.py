@@ -13,20 +13,25 @@ found deviations beyond its tolerance, 2 a bad input (`DomainError` or
 `ResourceLimitError`), 3 I/O error.  Every random draw takes an explicit or
 fixed default seed: same arguments, same bytes.
 
-A process pays only for the command it runs: the parser gives flags to that
-command's subparser alone, `json` is imported only to read or write JSON,
-and `entry_point` (``python -m capmodel`` and the ``capmodel`` script) ends
-the process without the interpreter's final sweep over live objects.
+A process pays only for the command it runs.  A command followed by plain
+``--flag value`` pairs, each flag its own and no value starting with "-", is
+read straight from that command's rows; any other argv (``--help``, a
+misspelt command, ``--rho=1/2``, an abbreviated flag, a value such as -1)
+goes to argparse, which is imported only then, gives flags to the named
+command's subparser alone, and writes every help and usage message.  `json`
+is imported only to read or write JSON, and `entry_point` (``python -m
+capmodel`` and the ``capmodel`` script) ends the process without the
+interpreter's final sweep over live objects.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import serialize
 from .core import (
@@ -50,6 +55,9 @@ from .trajectory import (
     run_trajectory,
     sweep_range,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 FORMATS = ("csv", "json")
 BOTH = "both"
@@ -143,6 +151,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     flags: no other subparser is ever reached.  Otherwise (no ``argv``, no
     command, ``--help``, a misspelt name) every subparser gets its flags.
     """
+    import argparse
+
     named = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="capmodel",
@@ -160,6 +170,24 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                 p.add_argument("--" + key.replace("_", "-"), help=text)
         p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
+
+
+def _read_pairs(argv) -> dict | None:
+    """``vars(build_parser(argv).parse_args(argv))`` for a command followed by
+    ``--flag value`` pairs, each flag one of its own and no value starting
+    with "-"; None for any other argv, which only argparse reads."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    command = argv[0]
+    flags = {"--" + row[0].replace("_", "-"): row[0] for row in _FLAGS if command in row[1]}
+    flags["--config"] = "config"
+    args = dict.fromkeys(flags.values())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or value.startswith("-"):
+            return None
+        args[flags[flag]] = value
+    args["command"] = command
+    return args
 
 
 def _read_config(path: str) -> dict:
@@ -185,7 +213,9 @@ def parse_config(argv=None) -> RunConfig:
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = vars(build_parser(argv).parse_args(argv))
+    args = _read_pairs(argv)
+    if args is None:
+        args = vars(build_parser(argv).parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config")
     rows = [row for row in _FLAGS if command in row[1]]

@@ -29,7 +29,7 @@ _LN10 = math.log(10.0)
 _LOG10_2 = math.log10(2.0)
 _SIG = 12
 _LOW, _HIGH = 10 ** (_SIG - 1), 10**_SIG  # the 12-digit integers
-_CANONICAL = re.compile(r"(-?[1-9][0-9]*|0)/[1-9][0-9]*")
+_CANONICAL = r"(-?[1-9][0-9]*|0)/[1-9][0-9]*"  # compiled on first use, by `re`'s cache
 
 
 def _int_str(value: int) -> str:
@@ -60,7 +60,7 @@ def fraction_str(value: Fraction) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     """Inverse of `fraction_str`, for integers of any length; it takes nothing else."""
-    if _CANONICAL.fullmatch(text):
+    if re.fullmatch(_CANONICAL, text):
         numerator, denominator = map(_str_int, text.split("/"))
         if math.gcd(numerator, denominator) == 1:
             return _coprime(numerator, denominator)

@@ -6,10 +6,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capmodel as cm
 from capmodel import UNBOUNDED
-from capmodel.cli import _COMMANDS, RunConfig, build_parser, main, parse_config
+from capmodel.cli import _COMMANDS, _FLAGS, RunConfig, _read_pairs, build_parser, main, parse_config
 from capmodel.serialize import read_trajectory_csv
 
 
@@ -217,6 +219,59 @@ class TestParseConfig:
     def test_figure_id_validated(self, capsys):
         assert run_cli(["figures", "--id", "9"]) == 2
         assert "id" in capsys.readouterr().err
+
+
+# Tokens that only argparse reads: help, ``=`` and abbreviated flags, values
+# starting with "-", the end-of-options marker, and two plain oddities.
+FOREIGN = ["-h", "--rho=1/2", "--rh", "-1", "-", "--", "", "x y"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and ``--flag value`` pairs of its own flags and ``--config``,
+    with up to two tokens (a flag, a value or one of `FOREIGN`) put in anywhere."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    own = ["--" + key.replace("_", "-") for key, commands, *_ in _FLAGS if command in commands]
+    flag = st.sampled_from([*own, "--config"])
+    value = st.sampled_from(["1/2", "30", "unbounded", "json", "out.csv"]) | st.text(max_size=3)
+    argv = [command, *(t for pair in draw(st.lists(st.tuples(flag, value), max_size=4)) for t in pair)]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(flag | value | st.sampled_from(FOREIGN)))
+    return argv
+
+
+class TestFlagReader:
+    """`parse_config` reads plain ``--flag value`` pairs itself; argparse is the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_reader_returns_what_argparse_returns(self, argv):
+        args = _read_pairs(argv)
+        if args is not None:
+            assert args == vars(build_parser(argv).parse_args(argv))
+
+    def test_reader_takes_plain_pairs_and_the_last_repeat(self):
+        argv = ["hump", "--rho", "1/2", "--r", "30", "--r", "40", "--config", "x y"]
+        assert _read_pairs(argv) == {
+            "command": "hump", "rho": "1/2", "r": "40", "n_max": None,
+            "out": None, "format": None, "config": "x y",
+        }
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["evl", "--rho", "1"], ["hump", "--help"], ["hump", "--rho=1/2"],
+        ["hump", "--rh", "1/2"], ["hump", "--rho"], ["hump", "--trials", "5"],
+        ["hump", "--r_values", "5"], ["eval", "--n", "-1"], ["eval", "--out", "-"],
+        ["eval", "--", "--n", "1"],
+    ])
+    def test_reader_leaves_every_other_argv_to_argparse(self, argv):
+        assert _read_pairs(argv) is None
+
+    def test_argparse_syntax_runs_as_the_plain_form(self, capsys):
+        assert main(["hump", "--rho", "1/2", "--r", "30"]) == 0
+        plain = capsys.readouterr()
+        assert main(["hump", "--rho=1/2", "--r=30"]) == 0
+        assert capsys.readouterr() == plain
+        assert plain.out.endswith("hump onset: 58\n")
 
 
 class TestCommands:

@@ -5,9 +5,11 @@ long since imported numpy, `dataclasses`, `inspect`, `json` and `csv`.  Only
 a new interpreter shows that importing the package, and every command but
 ``oracle``, leaves numpy unloaded and loads neither `dataclasses` nor
 `inspect`, which the NamedTuple records and the flag table do without, and
-that a command loads `json` only to write JSON and `csv` not at all.  A
-``.pth`` file in site-packages may import modules before ``-c`` runs, so the
-guard compares with the modules present before the import.
+that a command loads `json` only to write JSON, `csv` not at all, and, given
+as plain ``--flag value`` pairs, neither `argparse` nor the `gettext` and
+`locale` it brings.  A ``.pth`` file in site-packages may import modules
+before ``-c`` runs, so the guard compares with the modules present before
+the import.
 """
 
 import ast
@@ -80,8 +82,11 @@ def test_import_leaves_numpy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("args", NON_SAMPLING, ids=lambda args: args[0])
 def test_command_runs_without_numpy(args, tmp_path):
-    # every command but hump writes CSV by default, and no output here needs quoting
-    unused = {"csv"} if args[0] == "hump" else {"json", "csv"}
+    # every command but hump writes CSV by default, and no output here needs quoting;
+    # plain pairs are read without argparse
+    unused = {"csv", "argparse", "gettext", "locale"}
+    if args[0] != "hump":
+        unused.add("json")
     result = _python("-c", _probe(unused), *args, "--out", str(tmp_path / "out"), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out").stat().st_size > 0
@@ -156,6 +161,11 @@ def test_cli_module_runs_as_main(tmp_path):
     module = _python("-m", "capmodel.cli", *args, cwd=tmp_path)
     assert (module.returncode, module.stdout) == (package.returncode, package.stdout)
     assert package.returncode == 0 and "hump onset: 58" in package.stdout
+
+
+def test_argparse_syntax_runs_in_a_fresh_process(tmp_path):
+    result = _python("-m", "capmodel", "hump", "--rho=1/2", "--r=30", cwd=tmp_path)
+    assert result.returncode == 0 and "hump onset: 58" in result.stdout
 
 
 def test_package_does_not_import_decimal():
