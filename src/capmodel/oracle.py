@@ -4,18 +4,26 @@
 reproduce the exact backend at rho = 1.  `sample_recipe_book` draws a random
 recipe book (which combinations happen to be viable) in one of two modes:
 
-* ``per-subset``: an independent Bernoulli(rho**s) draw for each subset,
-  taken from one seeded uniform stream indexed by subset bitmask.  Because
-  the masks of an n-capability economy are a prefix of those of an (n+1)-
-  capability economy, the same seed keeps each subset's draw stable as n
-  grows (cumulative capability acquisition).
+* ``per-subset``: an independent Bernoulli(rho**s) draw for each subset.
+  Mask m of size s is viable when its 53-bit uniform u_m is below
+  ceil(rho**s * 2**53), computed exactly.  Bit j of every u_m (most
+  significant first) is bit m of one plane, ``getrandbits(max(2**n, 32))``
+  of ``Random(seed << 6 | j)``, and the planes are compared with the
+  thresholds 2**n masks at a time until no mask is undecided.  Because the
+  masks of an n-capability economy are a prefix of those of an (n+1)-
+  capability economy, and a plane's first 2**n bits do not depend on n, the
+  same seed keeps each subset's draw stable as n grows (cumulative
+  capability acquisition).
 * ``per-length-binomial``: one Binomial(C(n, s), rho**s) count per length,
-  distributionally identical to per-subset but usable up to n = 64.
+  distributionally identical to per-subset but usable up to n = 64.  The
+  counts are drawn in order of length from one ``Random(seed)`` by `_binomial`,
+  a port of CPython 3.12's ``Random.binomialvariate``, so every supported
+  Python draws the same ones.
 
-All randomness is PCG64 seeded from explicit integers; nothing reads
-environment entropy, and repeated runs are bit-identical.  numpy is imported
-inside the functions that draw or seed, after their input checks, so
-importing the package (and every command but ``oracle``) does not load it.
+All randomness is the standard library's Mersenne Twister, `random.Random`,
+seeded from explicit integers: nothing reads environment entropy, and
+repeated runs are bit-identical.  `random` is imported inside the functions
+that draw, and the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -102,17 +110,118 @@ class RecipeBookSample(NamedTuple):
 def _tables(n: int, rho: Fraction, mode: str):
     """Each length's viability and the draw's table: once a run.
 
-    Per length, the table holds each C(n, s) as int64 (C(64, 32) < 2**63);
-    per subset, each mask's size and viability.
+    Per length, the table holds each C(n, s).  Per subset, it holds the masks
+    of each size s as one 2**n-bit set; the set of masks viable whatever their
+    uniform (those with rho**s == 1); and, per bit j of the 53-bit thresholds
+    ceil(rho**s * 2**53) (most significant first), the set of masks whose
+    threshold has that bit and the set of those whose threshold has a 1 after it.
     """
     viability = [float(rho**s) for s in range(n + 1)]
-    import numpy as np
     if mode != PER_SUBSET:
-        return viability, np.array([math.comb(n, s) for s in range(n + 1)], np.int64)
-    sizes = np.zeros(1, np.uint8)
-    for _ in range(n):  # the masks in [2**k, 2**(k+1)) have one more bit than those below
-        sizes = np.concatenate((sizes, sizes + 1))
-    return viability, (sizes, np.asarray(viability)[sizes])
+        return viability, [math.comb(n, s) for s in range(n + 1)]
+    by_size = [1]  # mask 0 has no bits
+    for k in range(n):  # the masks in [2**k, 2**(k+1)) have one more bit than those below
+        by_size = [low | high << (1 << k) for low, high in zip(by_size + [0], [0] + by_size)]
+    p, q = rho.numerator, rho.denominator
+    certain, bounds = 0, [0] * 53
+    for s, masks in enumerate(by_size):
+        threshold = -(-(p**s << 53) // q**s)  # ceil(rho**s * 2**53)
+        if threshold >> 53:
+            certain |= masks
+            continue
+        for j in range(53):
+            if threshold >> 52 - j & 1:
+                bounds[j] |= masks
+    rests = [0] * 53
+    for j in range(51, -1, -1):
+        rests[j] = rests[j + 1] | bounds[j + 1]
+    return viability, (by_size, certain, list(zip(bounds, rests)))
+
+
+def _log_factorial_ratio(a: int, b: int) -> float:
+    """log(a! / b!) for integers a, b >= 0, also where lgamma(a + 1) and
+    lgamma(b + 1) are large and cancel.
+
+    For a and b from 16 up it is Stirling's series with the common terms taken out:
+    (b + 1/2)·log1p(d/b) + d·(log(a) - 1) + e(a) - e(b), with d = a - b and
+    e(x) = 1/(12x) - 1/(360x³) + 1/(1260x⁵) - 1/(1680x⁷) (truncation under 2e-14).
+    """
+    if a < 16 or b < 16:
+        return math.lgamma(a + 1) - math.lgamma(b + 1)
+    d = a - b
+    ea, eb = (
+        (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
+        for x in (float(a), float(b))
+    )
+    return (b + 0.5) * math.log1p(d / b) + d * (math.log(a) - 1.0) + ea - eb
+
+
+def _binomial(random, n: int, p: float) -> int:
+    """Binomial(n, p) from the uniforms ``random()``: CPython 3.12's ``binomialvariate``.
+
+    The algorithm is Devroye's geometric method below n*p = 10 and
+    Hörmann's BTRS (transformed rejection with squeeze) above; CPython 3.10
+    and 3.11 lack the method.  The port takes the same uniforms and returns
+    the same count, except where CPython's draws are wrong:
+
+    * the geometric gaps divide by log1p(-p), not log2(1.0 - p), which is 0
+      up to p = 2**-54 and inexact near it: CPython then returns 0 whatever
+      n*p, as at n = C(64, 32), p = 4e-18, where n*p = 7.3;
+    * BTRS's acceptance test takes `_log_factorial_ratio`s, not differences
+      of lgamma values, which near n = C(64, 32) are about 7e19 with an ulp of
+      16384: at n = C(64, 27), p = 2**-27 CPython's draws have twice the
+      standard deviation.  Up to n = 10**6 the two tests differ by at most
+      about 5e-9;
+    * a uniform of exactly 0.0 (probability 2**-53 a call), where CPython
+      raises, and a geometric gap past the double range are read as their
+      limits.
+
+    The caller keeps n >= 0 and 0 <= p <= 1.
+    """
+    if p <= 0.0 or p >= 1.0:
+        return 0 if p == 0.0 else n
+    if n == 1:
+        return int(random() < p)
+    if p > 0.5:
+        return n - _binomial(random, n, 1.0 - p)
+    if n * p < 10.0:
+        # the gaps between successes are geometric; O(n*p) uniforms
+        x = y = 0
+        c = math.log1p(-p)
+        while True:
+            u = random()
+            # the trials to the next success, less one; u = 0.0 is an infinite gap,
+            # and a gap past the double range (p below 1e-300) is one too
+            gap = math.log(u) / c if u else math.inf
+            if gap >= n - y:
+                return x
+            y += math.floor(gap) + 1
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    m = math.floor((n + 1) * p)  # the mode
+    while True:
+        u = random() - 0.5
+        us = 0.5 - abs(u)
+        if not us:  # k would be -inf: rejected
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = random()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        v *= alpha / (a / (us * us) + b)
+        # log of the pmf's ratio f(k) / f(m)
+        if not v or math.log(v) <= (
+            _log_factorial_ratio(m, k) + _log_factorial_ratio(n - m, n - k) + (k - m) * lpq
+        ):
+            return k
 
 
 def _draw(n: int, seed: int, mode: str, viability: list[float], table, keep_masks: bool = False):
@@ -120,15 +229,27 @@ def _draw(n: int, seed: int, mode: str, viability: list[float], table, keep_mask
 
     ``viability`` and ``table`` come from `_tables`; the caller checks every input.
     """
-    import numpy as np
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if mode == PER_SUBSET:
-        sizes, mask_viability = table
-        viable = rng.random(1 << n) < mask_viability
-        counts = np.bincount(sizes[viable], minlength=n + 1)
-        masks = tuple(int(m) for m in np.nonzero(viable)[0]) if keep_masks else None
-        return tuple(int(c) for c in counts), masks
-    return tuple(int(c) for c in rng.binomial(table, viability)), None
+    from random import Random
+    if mode != PER_SUBSET:
+        random = Random(seed).random
+        return tuple(_binomial(random, c, p) for c, p in zip(table, viability)), None
+    by_size, viable, bits = table
+    undecided = ((1 << (1 << n)) - 1) ^ viable
+    for j, (bound, rest) in enumerate(bits):
+        if not undecided:
+            break
+        # whole 32-bit words up to the last undecided mask: a prefix of every longer
+        # draw (getrandbits(k < 32) would keep the high bits of one word)
+        plane = Random(seed << 6 | j).getrandbits(-(-undecided.bit_length() // 32) * 32)
+        # bit j of u_m differs from the threshold's: u_m is below it where that bit is 1
+        decided = undecided & (plane ^ bound)
+        viable |= decided & bound
+        # u_m equal to the threshold so far is not below it unless a 1 follows in it
+        undecided = (undecided ^ decided) & rest
+    counts = tuple((viable & masks).bit_count() for masks in by_size)
+    if not keep_masks:
+        return counts, None
+    return counts, tuple(m for m, bit in enumerate(reversed(f"{viable:b}")) if bit == "1")
 
 
 def sample_recipe_book(
@@ -165,12 +286,15 @@ def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int
 
 
 def trial_seed(base_seed: int, index: int) -> int:
-    """Per-trial seed: first 64-bit word of SeedSequence((base_seed, index))."""
+    """Per-trial seed: ``base_seed`` above the 64 bits of ``index``.
+
+    Distinct (base_seed, index) pairs therefore give distinct seeds.
+    """
     _check_count(base_seed, "seed")
     _check_count(index, "trial index")
-    import numpy as np
-    ss = np.random.SeedSequence([base_seed, index])
-    return int(ss.generate_state(1, np.uint64)[0])
+    if index >> 64:
+        raise DomainError(f"trial index must be below 2**64, got {index!r}")
+    return base_seed << 64 | index
 
 
 class OracleReport(NamedTuple):

@@ -1,10 +1,11 @@
 """``python -m capmodel`` as a fresh process: exit codes, bytes, and imports.
 
 Every other CLI test calls ``main()`` in-process, where the test session has
-long since imported numpy, `dataclasses`, `inspect`, `json` and `csv`.  Only
-a new interpreter shows that importing the package, and every command but
-``oracle``, leaves numpy unloaded and loads neither `dataclasses` nor
-`inspect`, which the NamedTuple records and the flag table do without, and
+long since imported `dataclasses`, `inspect`, `json` and `csv`.  Only a new
+interpreter shows that importing the package, and every command, ``oracle``'s
+sampling included, leaves numpy unloaded (the package has no runtime
+dependency) and loads neither `dataclasses` nor `inspect`, which the
+NamedTuple records and the flag table do without, and
 that a command loads `json` only to write JSON, `csv` not at all, and, given
 as plain ``--flag value`` pairs, neither `argparse` nor the `gettext` and
 `locale` it brings.  A ``.pth`` file in site-packages may import modules
@@ -51,15 +52,17 @@ except SystemExit as exc:
     code = exc.code
 """ + GUARD + "sys.exit(code)\n"
 
-NON_SAMPLING = [
+ORACLE = ["oracle", "--n", "10", "--rho", "0.5", "--trials", "100", "--seed", "7"]
+COMMANDS = [
     ["eval", "--rho", "1/2", "--r", "30", "--n", "58", "--backend", "both"],
     ["trajectory", "--rho", "1/2", "--r", "6", "--n-max", "30"],
     ["sweep", "--rho", "1/2", "--r-values", "2,4", "--n-max", "15"],
     ["hump", "--rho", "1/2", "--r", "30"],
     ["validate", "--rho", "1/2", "--r", "10", "--n-max", "40"],
     ["figures", "--id", "3"],
+    ORACLE,
+    pytest.param([*ORACLE, "--mode", "per-subset"], id="oracle-per-subset"),
 ]
-ORACLE = ["oracle", "--n", "10", "--rho", "0.5", "--trials", "100", "--seed", "7"]
 
 
 def _python(*args, cwd):
@@ -80,7 +83,7 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("args", NON_SAMPLING, ids=lambda args: args[0])
+@pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
 def test_command_runs_without_numpy(args, tmp_path):
     # every command but hump writes CSV by default, and no output here needs quoting;
     # plain pairs are read without argparse

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -86,10 +87,12 @@ class TestSampleRecipeBook:
         cm.sample_recipe_book(64, HALF, seed=1, mode=PER_LENGTH_BINOMIAL)
 
     def test_subset_draws_persist_as_n_grows(self):
-        small = cm.sample_recipe_book(6, HALF, seed=42, mode=PER_SUBSET, keep_masks=True)
-        large = cm.sample_recipe_book(9, HALF, seed=42, mode=PER_SUBSET, keep_masks=True)
-        kept = {mask for mask in large.viable_masks if mask < 2**6}
-        assert kept == set(small.viable_masks)
+        # also across n = 5, where a plane stops being the low bits of one 32-bit word
+        for small_n, large_n in ((6, 9), (2, 7), (0, 5), (4, 12)):
+            small = cm.sample_recipe_book(small_n, HALF, seed=42, mode=PER_SUBSET, keep_masks=True)
+            large = cm.sample_recipe_book(large_n, HALF, seed=42, mode=PER_SUBSET, keep_masks=True)
+            kept = {mask for mask in large.viable_masks if mask < 2**small_n}
+            assert kept == set(small.viable_masks), (small_n, large_n)
 
     def test_invalid_args(self):
         with pytest.raises(cm.DomainError):
@@ -99,35 +102,165 @@ class TestSampleRecipeBook:
         with pytest.raises(cm.DomainError):
             cm.sample_recipe_book(5, 0, seed=1)
 
-    def test_one_array_draw_matches_the_scalar_draws(self):
-        # one rng.binomial over every length draws what n + 1 scalar calls did
-        import numpy as np
-
+    def test_one_stream_per_book_one_call_per_length(self):
+        # in order of length, one _binomial call on the uniforms of Random(seed)
         from capmodel import oracle
 
         for n in (0, 1, 8, 9, 10, 16, 64):
             for rho in (HALF, Fraction(3, 4), Fraction(9, 10), Fraction(1)):
                 viability, combs = oracle._tables(n, rho, PER_LENGTH_BINOMIAL)
-                assert combs.dtype == np.int64
+                assert combs == [math.comb(n, s) for s in range(n + 1)]
                 for seed in range(0, 3000, 97):
-                    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-                    scalar = tuple(
-                        int(rng.binomial(math.comb(n, s), viability[s])) for s in range(n + 1)
-                    )
+                    random = Random(seed).random
+                    expected = tuple(map(oracle._binomial, [random] * (n + 1), combs, viability))
                     drawn = oracle._draw(n, seed, PER_LENGTH_BINOMIAL, viability, combs)
-                    assert drawn == (scalar, None), (n, rho, seed)
+                    assert drawn == (expected, None), (n, rho, seed)
 
     def test_popcounts_by_doubling(self):
-        import numpy as np
-
         from capmodel import oracle
 
-        for n in range(17):
-            expected = np.array([mask.bit_count() for mask in range(1 << n)], dtype=np.uint8)
-            sizes, mask_viability = oracle._tables(n, HALF, PER_SUBSET)[1]
-            assert sizes.dtype == np.uint8
-            assert np.array_equal(sizes, expected), n
-            assert np.array_equal(mask_viability, 0.5**expected), n
+        for n in range(13):
+            expected = [0] * (n + 1)
+            for mask in range(1 << n):
+                expected[mask.bit_count()] |= 1 << mask
+            by_size, certain, bits = oracle._tables(n, HALF, PER_SUBSET)[1]
+            assert by_size == expected, n
+            assert certain == 1, n  # the empty subset: rho**0 == 1
+            # ceil(2**-s * 2**53) = 2**(53 - s) has one bit, j = s - 1 from the top
+            assert bits == [
+                (by_size[j + 1] if j < n else 0, sum(by_size[j + 2:])) for j in range(53)
+            ], n
+
+    @pytest.mark.parametrize(
+        "rho", [HALF, Fraction(9, 10), Fraction(1, 3), Fraction(1, 1000), Fraction(1)], ids=str
+    )
+    def test_bit_sliced_draw_is_the_scalar_rule(self, rho):
+        # mask m of size s is viable when u_m < ceil(rho**s * 2**53), where bit j
+        # of u_m (most significant first) is bit m of plane j
+        from capmodel import oracle
+
+        for n in range(11):
+            viability, table = oracle._tables(n, rho, PER_SUBSET)
+            thresholds = [math.ceil(rho**s * 2**53) for s in range(n + 1)]
+            width = max(2**n, 32)
+            for seed in range(0, 2**40, 2**40 // 23):
+                planes = [
+                    f"{Random(seed << 6 | j).getrandbits(width):0{width}b}"[::-1] for j in range(53)
+                ]
+                viable = [
+                    m for m, bits in enumerate(zip(*planes))
+                    if m < 2**n and int("".join(bits), 2) < thresholds[m.bit_count()]
+                ]
+                counts = [0] * (n + 1)
+                for m in viable:
+                    counts[m.bit_count()] += 1
+                drawn = oracle._draw(n, seed, PER_SUBSET, viability, table, keep_masks=True)
+                assert drawn == (tuple(counts), tuple(viable)), (n, seed)
+
+
+class TestBinomialPort:
+    """`oracle._binomial` is CPython 3.12's `Random.binomialvariate`, mended."""
+
+    # Random(seed).binomialvariate(n, p), four calls per seed, from CPython 3.12.1:
+    # n = 1, the geometric method (n*p < 10, also by symmetry for p > 0.5),
+    # p = 0 and 1, and BTRS (also by symmetry)
+    SEEDS = (0, 1, 2**70 + 3)
+    FROZEN = {
+        (1, 0.3): ((0, 0, 0, 1), (1, 0, 0, 1), (1, 0, 1, 1)),
+        (20, 0.2): ((5, 6, 7, 5), (4, 4, 3, 5), (3, 1, 7, 4)),
+        (20, 0.9): ((17, 17, 17, 18), (19, 18, 17, 20), (18, 19, 20, 15)),
+        (7, 0.0): ((0, 0, 0, 0),) * 3,
+        (math.comb(64, 32), 1.0): ((math.comb(64, 32),) * 4,) * 3,
+        (1000, 0.3): ((317, 297, 300, 313), (282, 312, 300, 306), (289, 258, 319, 312)),
+        (12870, 0.7): (
+            (8949, 9021, 9007, 8963), (9075, 8967, 9010, 8986), (9050, 9161, 8940, 8966)
+        ),
+        (10**6, 0.5): (
+            (500575, 499888, 500016, 500442),
+            (499367, 500404, 499994, 500219),
+            (499612, 498530, 500659, 500409),
+        ),
+    }
+
+    @staticmethod
+    def _draws(n, p, seed, count=4):
+        from capmodel import oracle
+
+        random = Random(seed).random
+        return tuple(oracle._binomial(random, n, p) for _ in range(count))
+
+    def test_reproduces_frozen_cpython_draws(self):
+        for (n, p), draws in self.FROZEN.items():
+            assert tuple(self._draws(n, p, seed) for seed in self.SEEDS) == draws, (n, p)
+
+    @pytest.mark.skipif(
+        not hasattr(Random, "binomialvariate"), reason="Random.binomialvariate is new in 3.12"
+    )
+    def test_matches_binomialvariate(self):
+        # up to n = 10**6, where CPython's rounding changes no draw
+        for n in (0, 1, 2, 5, 11, 40, 100, 1000, 12870, 10**5, 10**6):
+            for p in (0.0, 2.0**-50, 0.001, 0.05, 0.3, 0.5, 0.51, 0.7, 0.95, 1.0):
+                for seed in range(40):
+                    rng = Random(seed)
+                    expected = tuple(rng.binomialvariate(n, p) for _ in range(3))
+                    assert self._draws(n, p, seed, 3) == expected, (n, p, seed)
+
+    def test_geometric_gaps_below_two_to_the_minus_54(self):
+        # CPython's log2(1.0 - p) is 0 there, and it draws 0 whatever n*p: so
+        # did all twelve of its draws at this point, made as FROZEN's were
+        n, p, trials = math.comb(64, 32), 4e-18, 2000
+        draws = self._draws(n, p, 5, trials)
+        mean = n * p  # 7.33
+        assert abs(sum(draws) / trials - mean) <= 4 * math.sqrt(mean / trials)
+
+    def test_btrs_acceptance_at_huge_n(self):
+        # CPython's lgamma differences lose every digit here: the standard
+        # deviation of its draws is 2.0 times the binomial's
+        n, p, trials = math.comb(64, 27), 2.0**-27, 2000
+        draws = self._draws(n, p, 5, trials)
+        mean = sum(draws) / trials
+        var = n * p * (1 - p)
+        assert abs(mean - n * p) <= 4 * math.sqrt(var / trials)
+        ratio = sum((x - mean) ** 2 for x in draws) / (trials - 1) / var
+        assert abs(ratio - 1) <= 4 * math.sqrt(2 / trials)
+
+    def test_a_zero_uniform_is_read_as_its_limit(self):
+        from capmodel import oracle
+
+        def draw(n, p, *uniforms):
+            return oracle._binomial(iter(uniforms).__next__, n, p)
+
+        # geometric: an infinite gap ends the count, as a tiny uniform does
+        assert draw(20, 0.2, 0.5, 0.0) == draw(20, 0.2, 0.5, 1e-300) == 1
+        # BTRS: u = 0.0 puts k at -inf, rejected; v = 0.0 is accepted, as a tiny v is
+        assert draw(1000, 0.3, 0.0, 0.5, 0.5) == draw(1000, 0.3, 0.5, 0.5) == 300
+        assert draw(1000, 0.3, 0.05, 0.0) == draw(1000, 0.3, 0.05, 1e-300) == 268
+
+    def test_log_factorial_ratio(self):
+        from capmodel import oracle
+
+        for a, b in ((0, 0), (5, 3), (15, 40), (16, 16), (100, 17), (17, 100), (3000, 2000)):
+            exact = math.fsum(map(math.log, range(b + 1, a + 1)))
+            exact -= math.fsum(map(math.log, range(a + 1, b + 1)))
+            assert oracle._log_factorial_ratio(a, b) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+        # at n = C(64, 32) the ratio of two neighbouring factorials is the larger one
+        n = math.comb(64, 32)
+        assert oracle._log_factorial_ratio(n, n - 1) == pytest.approx(math.log(n), rel=1e-15)
+        assert oracle._log_factorial_ratio(n - 10**5, n) == pytest.approx(
+            -sum(math.log(n - i) for i in range(10**5)), rel=1e-12
+        )
+
+    def test_getrandbits_stream_is_pinned(self):
+        # the docs promise a stable random(), not getrandbits(); the per-subset
+        # planes rest on its first words, the first of them lowest
+        for seed, (five, word, three_words) in {
+            0: (0x1B, 0xD82C07CD, 0xC2094CAC629F6FBED82C07CD),
+            1: (0x4, 0x2265B1F5, 0xD8F16ADF91B7584A2265B1F5),
+            2**70 + 3: (0x5, 0x29D44276, 0xFF5A8EF954C2E2AD29D44276),
+        }.items():
+            assert Random(seed).getrandbits(5) == five == word >> 27
+            assert Random(seed).getrandbits(32) == word == three_words & 0xFFFFFFFF
+            assert Random(seed).getrandbits(96) == three_words
 
 
 class TestEmpiricalStats:
@@ -161,12 +294,11 @@ class TestTrialSeeds:
         assert cm.trial_seed(123, 5) != cm.trial_seed(124, 5)
 
     def test_documented_derivation(self):
-        import numpy as np
+        assert cm.trial_seed(9, 4) == 9 * 2**64 + 4
+        assert cm.trial_seed(0, 2**64 - 1) == 2**64 - 1
+        assert cm.trial_seed(2**80, 0) == 2**144
 
-        expected = int(np.random.SeedSequence([9, 4]).generate_state(1, np.uint64)[0])
-        assert cm.trial_seed(9, 4) == expected
-
-    @pytest.mark.parametrize("index", [True, -1, 1.0, "1", None])
+    @pytest.mark.parametrize("index", [True, -1, 1.0, "1", None, 2**64])
     def test_bad_index_rejected(self, index):
         with pytest.raises(cm.DomainError, match="trial index"):
             cm.trial_seed(1, index)
@@ -230,10 +362,9 @@ class TestValidateExpectations:
         assert [args[1] for args in draws] == [cm.trial_seed(3, i) for i in range(40)]
         assert all(args[3] is draws[0][3] and args[4] is draws[0][4] for args in draws)
         assert draws[0][3] == [float(HALF**s) for s in range(7)]
-        if mode == PER_LENGTH_BINOMIAL:  # the binomial coefficients, else (sizes, viability)
-            assert draws[0][4].tolist() == [math.comb(6, s) for s in range(7)]
-        else:
-            assert len(draws[0][4]) == 2
+        assert draws[0][4] == oracle._tables(6, HALF, mode)[1]
+        if mode == PER_LENGTH_BINOMIAL:  # the binomial coefficients, else the mask sets
+            assert draws[0][4] == [math.comb(6, s) for s in range(7)]
 
     def test_deterministic_reports(self):
         a = cm.validate_expectations(10, HALF, trials=60, base_seed=777)
