@@ -138,22 +138,27 @@ def _tables(n: int, rho: Fraction, mode: str):
     return viability, (by_size, certain, list(zip(bounds, rests)))
 
 
+def _stirling_error(x: float) -> float:
+    """log(x!) - ((x + 1/2)·log(x) - x + log(2π)/2) for x >= 16, truncated under 2e-14."""
+    y = 1.0 / (x * x)
+    return (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y / 1680))) / x
+
+
 def _log_factorial_ratio(a: int, b: int) -> float:
     """log(a! / b!) for integers a, b >= 0, also where lgamma(a + 1) and
     lgamma(b + 1) are large and cancel.
 
-    For a and b from 16 up it is Stirling's series with the common terms taken out:
-    (b + 1/2)·log1p(d/b) + d·(log(a) - 1) + e(a) - e(b), with d = a - b and
-    e(x) = 1/(12x) - 1/(360x³) + 1/(1260x⁵) - 1/(1680x⁷) (truncation under 2e-14).
+    For a and b from 16 up it is Stirling's series with the common terms
+    taken out: (b + 1/2)·log1p(d/b) + d·(log(a) - 1), with d = a - b, plus
+    the difference of the two `_stirling_error`s.
     """
     if a < 16 or b < 16:
         return math.lgamma(a + 1) - math.lgamma(b + 1)
     d = a - b
-    ea, eb = (
-        (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
-        for x in (float(a), float(b))
+    return (
+        (b + 0.5) * math.log1p(d / b) + d * (math.log(a) - 1.0)
+        + _stirling_error(a) - _stirling_error(b)
     )
-    return (b + 0.5) * math.log1p(d / b) + d * (math.log(a) - 1.0) + ea - eb
 
 
 def _binomial(random, n: int, p: float) -> int:

@@ -49,16 +49,21 @@ def test_c03_appendix_identity_suite():
     for rho in RHO_GRID:
         p, q = rho.numerator, rho.denominator
         prev_suffix = None
+        prev_s_bars = {}
         for n in range(1, 201):
             suffix, weighted = brute.int_suffix_sums(n, p, q)
             q_pow_n = q**n
+            s_bars = {}
             if prev_suffix is not None:
                 for r in range(1, n):
                     # (a) ratio formula equals the direct weighted mean
-                    s_bar = cm.avg_length(n, rho, r)
+                    s_bar = s_bars[r] = cm.avg_length(n, rho, r)
                     assert s_bar == Fraction(weighted[r], suffix[r])
                     # (c) strict bounds rho*n/(1+rho) < s_bar < n
                     assert lower_coeff[rho] * n < s_bar < n
+                    # (e) complexity rises with n: s_bar > avg_length(n - 1, rho, r), which
+                    # at r = n - 1 is the whole book's mean rho*(n-1)/(1+rho) (C02)
+                    assert s_bar > prev_s_bars.get(r, lower_coeff[rho] * (n - 1))
                     # (b) direct difference equals the closed-form delta
                     delta = cm.variety_delta(n, rho, r)
                     closed = rho * Fraction(suffix[r], q_pow_n) - math.comb(n, r) * rho ** (
@@ -71,7 +76,8 @@ def test_c03_appendix_identity_suite():
                         assert d_n == 2 * d_prev - math.comb(n - 1, r)
                         assert cm.variety(n, rho, r) == d_n
             prev_suffix = suffix
-    _report(3, "appendix identities exact for 1 <= r < n <= 200, rho grid", started, 60.0)
+            prev_s_bars = s_bars
+    _report(3, "appendix identities and rising avg length, 1 <= r < n <= 200", started, 60.0)
 
 
 def test_c04_enumeration_oracle_equivalence():

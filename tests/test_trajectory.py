@@ -125,11 +125,16 @@ class TestFindHumpOnset:
             assert onset is not None and r + 1 <= onset <= n_hi, (r, onset, n_hi)
 
     def test_onset_closed_form(self):
+        # floor(r*q/(q - p)) - 2 is the onset only for rho = (q - 1)/q, as on this
+        # grid; it is not the general onset, and at rho = 1/10 it is too high
         started = time.perf_counter()
         for rho in ("1/2", "2/3", "3/4", "9/10"):
             p, q = Fraction(rho).numerator, Fraction(rho).denominator
             for r in range(4, 3000, 7):
                 assert cm.find_hump_onset(r, rho, 10 * r) == r * q // (q - p) - 2, (rho, r)
+        for r, onset, formula in ((100, 107, 109), (1000, 1104, 1109), (2000, 2214, 2220)):
+            assert r * 10 // 9 - 2 == formula
+            assert cm.find_hump_onset(r, "1/10", 10 * r) == onset, r
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"onsets took {elapsed:.2f}s, budget 1s"
 
