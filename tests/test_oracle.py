@@ -214,8 +214,8 @@ class TestBinomialPort:
         assert abs(sum(draws) / trials - mean) <= 4 * math.sqrt(mean / trials)
 
     def test_btrs_acceptance_at_huge_n(self):
-        # CPython's lgamma differences lose every digit here: the standard
-        # deviation of its draws is 2.0 times the binomial's
+        # CPython's lgamma differences lose every digit here: its draws (20,000
+        # from CPython 3.12.1) have about 2.0 times the binomial's standard deviation
         n, p, trials = math.comb(64, 27), 2.0**-27, 2000
         draws = self._draws(n, p, 5, trials)
         mean = sum(draws) / trials
