@@ -17,13 +17,14 @@ recipe book (which combinations happen to be viable) in one of two modes:
 * ``per-length-binomial``: one Binomial(C(n, s), rho**s) count per length,
   distributionally identical to per-subset but usable up to n = 64.  The
   counts are drawn in order of length from one ``Random(seed)`` by `_binomial`,
-  a port of CPython 3.12's ``Random.binomialvariate``, so every supported
-  Python draws the same ones.
+  a port of CPython 3.12's ``Random.binomialvariate`` (mended where its
+  rounding fails at these counts), so every supported Python draws the same
+  ones.
 
 All randomness is the standard library's Mersenne Twister, `random.Random`,
 seeded from explicit integers: nothing reads environment entropy, and
-repeated runs are bit-identical.  `random` is imported inside the functions
-that draw, and the package has no runtime dependency.
+repeated runs are bit-identical.  `random` is imported inside `_draw`, and
+the package has no runtime dependency.
 """
 
 from __future__ import annotations
