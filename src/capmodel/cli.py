@@ -13,15 +13,15 @@ found deviations beyond its tolerance, 2 a bad input (`DomainError` or
 `ResourceLimitError`), 3 I/O error.  Every random draw takes an explicit or
 fixed default seed: same arguments, same bytes.
 
-A process pays only for the command it runs.  A command followed by plain
-``--flag value`` pairs, each flag its own and no value starting with "-", is
-read straight from that command's rows; any other argv (``--help``, a
-misspelt command, ``--rho=1/2``, an abbreviated flag, a value such as -1)
-goes to argparse, which is imported only then, gives flags to the named
-command's subparser alone, and writes every help and usage message.  `json`
-is imported only to read or write JSON, and `entry_point` (``python -m
-capmodel`` and the ``capmodel`` script) ends the process without the
-interpreter's final sweep over live objects.
+A process pays only for the command it runs.  A command followed by its
+own flags, each as ``--flag=value`` or as ``--flag value`` with no value
+starting with "-", is read straight from that command's rows; any other argv
+(``--help``, a misspelt command, an abbreviated flag, ``--n -1``, ``--``)
+goes to argparse, which is imported only then, builds one parser for every
+command, and writes every help and usage message.  `json` is imported only
+to read or write JSON, and `entry_point` (``python -m capmodel`` and the
+``capmodel`` script) ends the process without the interpreter's final sweep
+over live objects.
 """
 
 from __future__ import annotations
@@ -144,16 +144,10 @@ def _library_default(function, name: str):
     return function.__defaults__[names.index(name) - len(names)]
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every command, flags only where they are parsed.
-
-    When ``argv[0]`` names a command, only that command's subparser gets its
-    flags: no other subparser is ever reached.  Otherwise (no ``argv``, no
-    command, ``--help``, a misspelt name) every subparser gets its flags.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command and its flags."""
     import argparse
 
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="capmodel",
         description="Combinatorial capability model: variety, complexity, stages, hump.",
@@ -161,8 +155,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        if named not in (None, command):
-            continue
         for key, commands, _, default, text in _FLAGS:
             if command in commands:
                 if default is not None and default is not _REQUIRED:
@@ -173,17 +165,21 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def _read_pairs(argv) -> dict | None:
-    """``vars(build_parser(argv).parse_args(argv))`` for a command followed by
-    ``--flag value`` pairs, each flag one of its own and no value starting
-    with "-"; None for any other argv, which only argparse reads."""
-    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+    """``vars(build_parser().parse_args(argv))`` for a command followed by its
+    own flags, each as ``--flag value`` with no value starting with "-" or as
+    ``--flag=value``, split at the first "=", with any value but "--" (an empty
+    list to argparse 3.10 to 3.12.1); None for any other argv, which only argparse reads."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
     command = argv[0]
     flags = {"--" + row[0].replace("_", "-"): row[0] for row in _FLAGS if command in row[1]}
     flags["--config"] = "config"
     args = dict.fromkeys(flags.values())
-    for flag, value in zip(argv[1::2], argv[2::2]):
-        if flag not in flags or value.startswith("-"):
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        value = value if joined else next(tokens, "-")  # a missing value is an argparse error
+        if flag not in flags or value == "--" or not joined and value.startswith("-"):
             return None
         args[flags[flag]] = value
     args["command"] = command
@@ -215,7 +211,7 @@ def parse_config(argv=None) -> RunConfig:
         argv = sys.argv[1:]
     args = _read_pairs(argv)
     if args is None:
-        args = vars(build_parser(argv).parse_args(argv))
+        args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config")
     rows = [row for row in _FLAGS if command in row[1]]

@@ -383,14 +383,14 @@ def validate_expectations(
 
     sums = _window_sums(n, params, n)
     expected_var, expected_avg = float(sums.variety(n)), float(sums.avg_length(n))
-    var_cnt = sum(count_vars[lo:])
+    var_cnt = math.fsum(count_vars[lo:])
     emp_var = variety_sum / trials
     z_var = _zscore(emp_var - expected_var, math.sqrt(var_cnt / trials))
 
     emp_avg = length_sum / variety_sum if variety_sum else 0.0
     # delta-method variance of the pooled ratio sum(lengths)/sum(counts)
-    var_len = sum(s * s * count_vars[s] for s in range(lo, n + 1))
-    cov = sum(s * count_vars[s] for s in range(lo, n + 1))
+    var_len = math.fsum(s * s * count_vars[s] for s in range(lo, n + 1))
+    cov = math.fsum(s * count_vars[s] for s in range(lo, n + 1))
     ratio_var = var_len - 2.0 * expected_avg * cov + expected_avg**2 * var_cnt
     avg_se = math.sqrt(max(ratio_var, 0.0) / trials) / expected_var if expected_var else 0.0
     z_avg = _zscore(emp_avg - expected_avg, avg_se)

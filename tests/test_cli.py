@@ -69,17 +69,6 @@ class TestParseConfig:
             for command, (summary, _) in _COMMANDS.items():
                 assert f"{command}  " in captured.out and summary in captured.out
 
-    def test_only_the_named_command_gets_flags(self):
-        def subparsers(argv):
-            return next(a for a in build_parser(argv)._actions if a.dest == "command").choices
-
-        full = subparsers(None)
-        for command in _COMMANDS:
-            named = subparsers([command, "--rho", "1"])
-            assert list(named) == list(_COMMANDS)
-            assert named[command].format_help() == full[command].format_help()
-            assert all(len(p._actions) == 1 for name, p in named.items() if name != command)
-
     def test_config_file_merge(self, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"rho": "0.5", "r": 30, "n_max": 40}))
@@ -221,34 +210,38 @@ class TestParseConfig:
         assert "id" in capsys.readouterr().err
 
 
-# Tokens that only argparse reads: help, ``=`` and abbreviated flags, values
-# starting with "-", the end-of-options marker, and two plain oddities.
-FOREIGN = ["-h", "--rho=1/2", "--rh", "-1", "-", "--", "", "x y"]
+# Tokens that only argparse reads: help, abbreviated flags, values starting
+# with "-", the end-of-options marker, and two plain oddities.
+FOREIGN = ["-h", "--rh=1/2", "--rh", "-1", "-", "--", "", "x y"]
 
 
 @st.composite
 def command_lines(draw):
-    """A command and ``--flag value`` pairs of its own flags and ``--config``,
-    with up to two tokens (a flag, a value or one of `FOREIGN`) put in anywhere."""
+    """A command and its own flags and ``--config``, each as a ``--flag value``
+    pair or one ``--flag=value`` token, with up to two tokens (a flag, a value
+    or one of `FOREIGN`) put in anywhere."""
     command = draw(st.sampled_from(list(_COMMANDS)))
     own = ["--" + key.replace("_", "-") for key, commands, *_ in _FLAGS if command in commands]
     flag = st.sampled_from([*own, "--config"])
     value = st.sampled_from(["1/2", "30", "unbounded", "json", "out.csv"]) | st.text(max_size=3)
-    argv = [command, *(t for pair in draw(st.lists(st.tuples(flag, value), max_size=4)) for t in pair)]
+    # after "=", empty values, values starting with "-" and values holding "="
+    joined = value | st.sampled_from(["", "-1", "-", "--", "--x", "a=b", "="])
+    pair = st.tuples(flag, value) | st.builds(lambda f, v: (f"{f}={v}",), flag, joined)
+    argv = [command, *(t for p in draw(st.lists(pair, max_size=4)) for t in p)]
     for _ in range(draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(1, len(argv))), draw(flag | value | st.sampled_from(FOREIGN)))
     return argv
 
 
 class TestFlagReader:
-    """`parse_config` reads plain ``--flag value`` pairs itself; argparse is the reference."""
+    """`parse_config` reads ``--flag value`` and ``--flag=value`` itself; argparse is the reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(argv=command_lines())
     def test_reader_returns_what_argparse_returns(self, argv):
         args = _read_pairs(argv)
         if args is not None:
-            assert args == vars(build_parser(argv).parse_args(argv))
+            assert args == vars(build_parser().parse_args(argv))
 
     def test_reader_takes_plain_pairs_and_the_last_repeat(self):
         argv = ["hump", "--rho", "1/2", "--r", "30", "--r", "40", "--config", "x y"]
@@ -257,11 +250,18 @@ class TestFlagReader:
             "out": None, "format": None, "config": "x y",
         }
 
+    def test_reader_splits_a_token_at_its_first_equals(self):
+        argv = ["hump", "--rho=1/2", "--r", "30", "--out=a=b", "--n-max=", "--format=-"]
+        assert _read_pairs(argv) == {
+            "command": "hump", "rho": "1/2", "r": "30", "n_max": "",
+            "out": "a=b", "format": "-", "config": None,
+        }
+
     @pytest.mark.parametrize("argv", [
-        [], ["-h"], ["evl", "--rho", "1"], ["hump", "--help"], ["hump", "--rho=1/2"],
+        [], ["-h"], ["evl", "--rho", "1"], ["hump", "--help"], ["hump", "--rh=1/2"],
         ["hump", "--rh", "1/2"], ["hump", "--rho"], ["hump", "--trials", "5"],
         ["hump", "--r_values", "5"], ["eval", "--n", "-1"], ["eval", "--out", "-"],
-        ["eval", "--", "--n", "1"],
+        ["eval", "--", "--n", "1"], ["eval", "--out=--"],
     ])
     def test_reader_leaves_every_other_argv_to_argparse(self, argv):
         assert _read_pairs(argv) is None
@@ -269,8 +269,9 @@ class TestFlagReader:
     def test_argparse_syntax_runs_as_the_plain_form(self, capsys):
         assert main(["hump", "--rho", "1/2", "--r", "30"]) == 0
         plain = capsys.readouterr()
-        assert main(["hump", "--rho=1/2", "--r=30"]) == 0
-        assert capsys.readouterr() == plain
+        for argv in (["hump", "--rho=1/2", "--r=30"], ["hump", "--rh", "1/2", "--r", "30"]):
+            assert main(argv) == 0
+            assert capsys.readouterr() == plain
         assert plain.out.endswith("hump onset: 58\n")
 
 

@@ -13,12 +13,14 @@ intended change of output is re-recorded with
 and every changed file is named in CHANGES.md.
 """
 
+import csv
 import io
 import json
 import os
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -164,6 +166,37 @@ def test_golden_outputs_reproduce_byte_for_byte(tmp_path):
             assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), entry["args"]
     elapsed = time.perf_counter() - started
     assert elapsed < BUDGET_S, f"golden commands took {elapsed:.2f}s, budget {BUDGET_S}s"
+
+
+def _series(path: Path) -> list[list[dict]]:
+    """The points of each series in a trajectory, sweep or figure golden."""
+    kind = path.stem.split("-")[1]
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        parts = {"trajectory": [payload], "sweep": payload.get("trajectories"),
+                 "figures": payload.get("series")}[kind]
+        return [part["points"] for part in parts]
+    groups: dict = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            groups.setdefault((row.get("r"), row.get("figure"), row.get("series")), []).append(row)
+    return list(groups.values())
+
+
+def test_complexity_rises_along_every_golden_series():
+    # the paper's claim that average length keeps rising while variety humps
+    files = [p for p in sorted(GOLDEN.glob("*-*.*"))
+             if p.stem.split("-")[1] in ("trajectory", "sweep", "figures")]
+    for path in files:
+        steps = 0
+        for points in _series(path):
+            for a, b in zip(points, points[1:]):
+                assert int(b["n"]) == int(a["n"]) + 1, (path.name, a["n"])
+                for column, read in (("avg_length_exact", Fraction), ("avg_length_float", float)):
+                    if a[column] not in ("", None):
+                        assert read(b[column]) > read(a[column]), (path.name, column, a["n"])
+                        steps += 1
+        assert steps, path.name
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ sampling included, leaves numpy unloaded (the package has no runtime
 dependency) and loads neither `dataclasses` nor `inspect`, which the
 NamedTuple records and the flag table do without, and
 that a command loads `json` only to write JSON, `csv` not at all, and, given
-as plain ``--flag value`` pairs, neither `argparse` nor the `gettext` and
-`locale` it brings.  A ``.pth`` file in site-packages may import modules
-before ``-c`` runs, so the guard compares with the modules present before
-the import.
+as ``--flag value`` pairs or ``--flag=value``, neither `argparse` nor the
+`gettext` and `locale` it brings.  A ``.pth`` file in site-packages may
+import modules before ``-c`` runs, so the guard compares with the modules
+present before the import.
 """
 
 import ast
@@ -167,7 +167,8 @@ def test_cli_module_runs_as_main(tmp_path):
 
 
 def test_argparse_syntax_runs_in_a_fresh_process(tmp_path):
-    result = _python("-m", "capmodel", "hump", "--rho=1/2", "--r=30", cwd=tmp_path)
+    probe = _probe({"argparse", "gettext", "locale"})
+    result = _python("-c", probe, "hump", "--rho=1/2", "--r=30", cwd=tmp_path)
     assert result.returncode == 0 and "hump onset: 58" in result.stdout
 
 

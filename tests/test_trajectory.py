@@ -138,6 +138,16 @@ class TestFindHumpOnset:
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"onsets took {elapsed:.2f}s, budget 1s"
 
+    def test_onset_rises_strictly_with_r(self):
+        # the paper's claim that a wider range delays the hump; 10r + 20 bounds every onset here
+        for rho in ("1/10", "1/2", "3/4", "9/10"):
+            onsets = [cm.find_hump_onset(r, rho, 10 * r + 20) for r in range(202)]
+            assert all(a < b for a, b in zip(onsets, onsets[1:])), rho
+        for rho in ("1/2", "3/4"):
+            for r in (10**3, 10**4, 10**5):
+                n_max = 10 * r + 20
+                assert cm.find_hump_onset(r + 1, rho, n_max) > cm.find_hump_onset(r, rho, n_max)
+
     def test_requires_scan_room(self):
         with pytest.raises(cm.DomainError):
             cm.find_hump_onset(10, HALF, 10)
