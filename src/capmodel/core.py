@@ -23,12 +23,12 @@ classified from the same quantities: *developing* while the range does not
 bind (r >= n), *transitioning* while it binds but variety still grows, and
 *developed* once variety falls.
 
-Every quantity at ``n`` is read off the window sums at ``n - 1``, ``n`` and
-``n + 1`` of one sequence per ``(rho, r)``.  With ``rho = p/q``, the exact
-backend walks the integers ``N_n = q**n * variety(n, r)``: multiplying the
-step identity above by ``q**(n+1)`` gives
+Every quantity at ``n`` is read off the terms ``n - 1`` and ``n`` of one
+sequence per ``(rho, r)``, each a pair: the window sum and its last term.
+With ``rho = p/q``, the exact backend walks ``(N_n, b_n)``, where
+``N_n = q**n * variety(n, r)``; multiplying the step identity by ``q**(n+1)``,
 
-    N_{n+1} = (p + q) * N_n - [n >= r] * C(n, r) * p**(n-r) * q**(r+1)
+    N_{n+1} = (p + q) * N_n - b_n,    b_n = [n >= r] * C(n, r) * p**(n-r) * q**(r+1)
 
 started from the closed form ``(p + q)**min(n, r)``, so each step is one
 big-integer multiply-subtract and every identity holds with zero tolerance.
@@ -37,7 +37,7 @@ Two of the three exact values need no gcd.  Modulo ``q`` the start
 ``(p + q)**j`` is ``p**j``, and each step multiplies by ``p + q``, which is
 ``p``, and subtracts a multiple of ``q``; so ``N_n = p**n (mod q)``.  As
 ``p`` and ``q`` are coprime, ``variety = N_n / q**n`` is in lowest terms,
-and so is ``delta = (N_{n+1} - q * N_n) / q**(n+1)``, whose numerator is
+and so is ``delta = (p * N_n - b_n) / q**(n+1)``, whose numerator is
 ``p**(n+1) (mod q)``: `_coprime` builds both as they are.  No such argument
 covers ``avg_length = n * p * N_{n-1} / N_n``, which keeps its gcd.
 
@@ -50,14 +50,18 @@ hump has passed.  With ``x = rho / (1 + rho)`` the window sum is a binomial tail
 where ``I_x`` is the regularized incomplete beta function, evaluated as a
 log front factor (three ``lgamma`` calls) times a continued fraction.  Its
 cost does not depend on ``r``: the fraction takes a few iterations on most
-points and O(sqrt(n)) at worst.  The backend trades exactness for
+points and O(sqrt(n)) at worst.  Its pairs are ``(log variety, w_n)``, with
+``w_n = C(n, r) * rho**(n-r) / variety(n, r)`` the last term's share, so no
+two window sums are subtracted: ``delta = variety * (rho - w_n)``, and
+``avg_length = n * rho / (1 + rho - w_{n-1})``, or ``(n - r) * w_n / w_{n-1}``
+where ``w_{n-1} > (1 + rho)/2`` would make that cancel.  It trades exactness for
 constant-size numbers and is meant for large ``n`` and fast sweeps;
 `cross_validate` measures its deviation from the exact backend.  Both
 backends decide the hump with one exact integer test, `_hump`, that reads no
 window sum, so its cost does not grow with ``n``.
 
 All functions are pure and share no state: each call walks its own sequence
-forward and keeps only its latest three terms.
+forward and keeps only its latest two terms.
 """
 
 from __future__ import annotations
@@ -194,8 +198,9 @@ def _log_rho(p: int, q: int) -> float:
     return math.log1p((p - q) / q) if 2 * p > q else math.log(p) - math.log(q)
 
 
-def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
-    """log of sum_{s = n-width}^{n} C(n, s) rho**s, for 0 <= width < n and rho = p/q.
+def _log_window_sum(n: int, width: int, p: int, q: int) -> tuple[float, float]:
+    """log V, V = sum_{s = n-width}^{n} C(n, s) rho**s, and the last term's share
+    ``C(n, width) * rho**(n-width) / V``, for 0 <= width < n and rho = p/q.
 
     With ``x = rho / (1 + rho)``, ``a = n - width`` and ``b = width + 1``, the
     sum is ``(1 + rho)**n * I_x(a, b)``, the regularized incomplete beta
@@ -212,7 +217,8 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
     front = _log_binomial(n, width) + a * _log_rho(p, q) - log1p_rho
     x = p / (p + q)
     if x < (a + 1) / (a + b + 2):
-        return front + math.log(_beta_cf(a, b, x))
+        cf = _beta_cf(a, b, x)
+        return front + math.log(cf), (1 + p / q) / cf
     # the complement I_x(a, b) = 1 - I_{1-x}(b, a), whose front factor has b for a
     cf, total = _beta_cf(b, a, q / (p + q)), n * log1p_rho
     tail = front + math.log(a / b) + math.log(cf) if cf > 0 else math.inf
@@ -221,30 +227,35 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> float:
             f"the {LOGFLOAT} backend cannot resolve this window sum at n of {n.bit_length()}"
             " bits: rounding puts the complement of the window at or above the whole sum"
         )
-    return total + math.log1p(-math.exp(tail - total))
+    log_v = total + math.log1p(-math.exp(tail - total))
+    return log_v, math.exp(front + log1p_rho - log_v)
 
 
 def _log_terms(k: int, r: Range, p: int, q: int):
-    """Yield log variety(n, r) for n = k, k + 1, ...: `_log_window_sum` where
-    the range binds, the closed form ``n * log(1 + rho)`` where it does not."""
+    """Yield ``(log variety(n, r), w_n)`` for n = k, k + 1, ...: `_log_window_sum`
+    where the range binds, the closed form ``n * log(1 + rho)`` where it does
+    not; there ``w_n`` is ``(1 + rho)**-r`` at ``n = r`` and 0 below."""
     log1p_rho = math.log1p(p / q)
     while True:
-        yield _log_window_sum(k, r, p, q) if r is not UNBOUNDED and r < k else k * log1p_rho
+        if r is not UNBOUNDED and r < k:
+            yield _log_window_sum(k, r, p, q)
+        else:
+            yield k * log1p_rho, math.exp(-k * log1p_rho) if k == r else 0.0
         k += 1
 
 
 def _exact_terms(k: int, r: Range, p: int, q: int):
-    """Yield ``N_k, N_{k+1}, ...`` for rho = p/q, walked from the closed form
-    ``N_j = (p + q)**j`` at ``j = min(k, r)``.
+    """Yield ``(N_n, b_n)`` for n = k, k + 1, ... and rho = p/q, walked from the
+    closed form ``N_j = (p + q)**j`` at ``j = min(k, r)``.
 
-    ``b`` is what step ``j`` subtracts, ``C(j, r) * p**(j-r) * q**(r+1)``
+    ``b_j`` is what step ``j`` subtracts, ``C(j, r) * p**(j-r) * q**(r+1)``
     from ``j = r`` on; step ``j`` multiplies it by ``p*j / (j - r)``.
     """
     s, j = p + q, k if r is UNBOUNDED else min(k, r)
     n_j, b = s**j, q ** (r + 1) if j == r else 0
     while True:
         if j >= k:
-            yield n_j
+            yield n_j, b
         n_j, j = s * n_j - b, j + 1
         if j == r:
             b = q ** (r + 1)
@@ -286,22 +297,14 @@ def _coprime(num: int, den: int) -> Fraction:
     return value
 
 
-def _log_sub(a: float, b: float) -> LogScalar:
-    """``exp(a) - exp(b)`` from two log magnitudes, signed, with no overflow."""
-    if a == b:
-        return LogScalar.zero()
-    big, small, sign = (a, b, 1) if a > b else (b, a, -1)
-    return LogScalar(sign, big + math.log1p(-math.exp(small - big)))
-
-
 class _WindowSums:
     """The window sums of one `ModelParams`, read forward from ``first - 1``.
 
-    ``term(k)`` is ``N_k`` from `_exact_terms` or ``log variety(k, r)`` from
-    `_log_terms`.  One stream yields the terms in order and only the latest
-    three are kept: the ``n - 1 .. n + 1`` a point reads.  Reading further
-    back is an ``IndexError``.  Opening the stream reads no term, so the hump
-    and the stage, which read none, cost no walk.
+    ``term(k)`` is a pair from `_exact_terms` or `_log_terms`.  One stream
+    yields the terms in order and only the latest two are kept: the ``n - 1``
+    and ``n`` a point reads.  Reading further back is an ``IndexError``.
+    Opening the stream reads no term, so the hump and the stage, which read
+    none, cost no walk.
     """
 
     def __init__(self, params: ModelParams, first: int = 0):
@@ -315,37 +318,43 @@ class _WindowSums:
     def binds(self, n: int) -> bool:
         return self.r is not UNBOUNDED and self.r < n
 
-    def term(self, k: int) -> int | float:
+    def term(self, k: int) -> tuple[int, int] | tuple[float, float]:
         while self._next <= k:
-            self._last = (*self._last[-2:], next(self._stream))
+            self._last = (*self._last[-1:], next(self._stream))
             self._next += 1
         return self._last[k - self._next]
 
     def variety(self, n: int) -> Scalar:
         if self.exact:
-            return _coprime(self.term(n), self.q**n)
-        return LogScalar.from_log(self.term(n))
+            return _coprime(self.term(n)[0], self.q**n)
+        return LogScalar.from_log(self.term(n)[0])
 
     def avg_length(self, n: int) -> Scalar:
         p, q = self.p, self.q
         if n == 0:
             return Fraction(0) if self.exact else LogScalar.zero()
         if self.exact:  # powers of q cancel; other common factors need the gcd
-            return Fraction(n * p * self.term(n - 1), self.term(n))
+            return Fraction(n * p * self.term(n - 1)[0], self.term(n)[0])
         if not self.binds(n):
             ratio = n * p / (p + q)
             if ratio < sys.float_info.min:  # subnormal or 0.0: divide as logs instead
                 return LogScalar.from_log(math.log(n * p) - math.log(p + q))
             return LogScalar.from_float(ratio)
-        return LogScalar.from_log(math.log(n) + self.log_rho + self.term(n - 1) - self.term(n))
+        w_prev = self.term(n - 1)[1]
+        if 2 * w_prev > 1 + p / q:  # 1 + rho - w_prev would cancel
+            return LogScalar.from_float((n - self.r) * self.term(n)[1] / w_prev)
+        return LogScalar.from_float(n * p / q / (1 + p / q - w_prev))
 
     def delta(self, n: int) -> Scalar:
         p, q = self.p, self.q
         if self.exact:
-            return _coprime(self.term(n + 1) - q * self.term(n), q ** (n + 1))
+            v, b = self.term(n)
+            return _coprime(p * v - b, q ** (n + 1))
+        log_v, w = self.term(n)
         if not self.binds(n + 1):
-            return LogScalar.from_log(self.log_rho + n * math.log1p(p / q))
-        return _log_sub(self.term(n + 1), self.term(n))
+            return LogScalar.from_log(self.log_rho + log_v)
+        share = p / q - w  # rho - w_n, whose sign is delta's; a zero share is a zero delta
+        return LogScalar((share > 0) - (share < 0), log_v + math.log(abs(share) or 1.0))
 
     def hump(self, n: int) -> bool:
         return self.binds(n) and _hump(n, self.r, self.p, self.q)
@@ -465,18 +474,7 @@ def _cross_checks(
     for n in range(first, n_max + 1):
         a_exact, a_log = exact.avg_length(n), logged.avg_length(n)
         v_exact, v_log = exact.variety(n), logged.variety(n)
-        checks.append(
-            CrossCheck(
-                n=n,
-                r=r,
-                rho=exact.params.rho,
-                tol=tol,
-                variety_exact=v_exact,
-                variety_log=v_log,
-                avg_length_exact=a_exact,
-                avg_length_log=a_log,
-                variety_rel_dev=_relative_deviation(v_exact, v_log),
-                avg_length_rel_dev=_relative_deviation(a_exact, a_log),
-            )
-        )
+        deviations = _relative_deviation(v_exact, v_log), _relative_deviation(a_exact, a_log)
+        fields = n, r, exact.params.rho, tol, v_exact, v_log, a_exact, a_log, *deviations
+        checks.append(CrossCheck(*fields))
     return checks

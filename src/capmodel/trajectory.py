@@ -66,7 +66,7 @@ def default_n_max(r: Range) -> int:
 
 
 def _point(sums: _WindowSums, n: int) -> TrajectoryPoint:
-    """The point at ``n``: it reads the window sums at n - 1, n and n + 1 only."""
+    """The point at ``n``: it reads the window sums at n - 1 and n only."""
     return TrajectoryPoint(
         n=n,
         variety=sums.variety(n),

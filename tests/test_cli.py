@@ -328,7 +328,7 @@ class TestCommands:
         def counting_stream(backend, terms):
             def stream(*args):
                 opened.append(backend)
-                return (drawn.append(backend) or term for term in terms(*args))
+                return ((drawn.append(backend) or s, last) for s, last in terms(*args))
 
             return stream
 
@@ -338,7 +338,7 @@ class TestCommands:
         code = run_cli(["validate", "--rho", "3/4", "--r", "200", "--n-max", "600",
                         "--out", str(tmp_path / "validate.csv")])
         assert code == 0
-        assert len(log_sums) <= 600 - 200 + 2
+        assert len(log_sums) == 600 - 200  # one per binding n, and none past n-max
         assert sorted(opened) == ["exact", "logfloat"]
         # each stream yields every term of n = 0..600 once
         assert drawn.count("exact") == drawn.count("logfloat") == 601

@@ -137,6 +137,28 @@ class TestVarietyDelta:
         error = _log_minus_exact(logged, exact) / scale
         assert error <= 1e-9, float(error)
 
+    @pytest.mark.parametrize(
+        "rho,r,n",
+        [
+            (Fraction(3, 4), 300, 1197),
+            (Fraction(3, 4), 300, 1198),
+            (HALF, 30, 58),
+            (Fraction(1, 10), 400, 1008),
+            (HALF, 400, 797),
+            (Fraction(3, 4), 400, 1597),
+            (HALF, 2000, 3997),
+            (HALF, 5000, 9997),
+        ],
+    )
+    def test_log_backend_error_relative_to_delta(self, rho, r, n):
+        # variety * (rho - w_n) is as good as the subtraction rho - w_n allows:
+        # relative to delta, the variety's error plus about 1e-16 * variety/|delta|
+        exact = cm.variety_delta(n, rho, r)
+        logged = cm.variety_delta(n, rho, r, LOGFLOAT)
+        conditioning = abs(cm.variety(n, rho, r) / exact)
+        error = _log_minus_exact(logged, exact) / abs(exact)
+        assert error <= 1e-11 + 1e-14 * conditioning, float(error)
+
 
 class TestHumpCondition:
     def test_examples(self):
@@ -159,7 +181,8 @@ class TestHumpCondition:
                     )
 
     def test_single_test_matches_the_exact_walk_on_a_grid(self):
-        # core._hump against N_{n+1} < q * N_n, on 22 rho x 30 r x 89 n = 58,740 points
+        # core._hump against p * N_n < b_n, read off the walk's (N_n, b_n) pairs,
+        # on 22 rho x 30 r x 89 n = 58,740 points
         started = time.perf_counter()
         rhos = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1, q + 1)})
         points = 0
@@ -168,7 +191,8 @@ class TestHumpCondition:
             for r in range(30):
                 sums = core._WindowSums(cm.ModelParams(rho, r))
                 for n in range(r + 1, r + 90):
-                    declines = sums.term(n + 1) < q * sums.term(n)
+                    window_sum, last_term = sums.term(n)
+                    declines = p * window_sum < last_term
                     assert core._hump(n, r, p, q) is declines, (rho, r, n)
                     points += 1
         assert points == 58_740
@@ -240,6 +264,13 @@ class TestCrossValidate:
     def test_avg_length_below_the_normal_doubles(self, k):
         # rho * n / (1 + rho) is subnormal or 0.0 as a float from k = 320 on
         assert cm.cross_validate(5, Fraction(1, 10**k)).avg_length_rel_dev < 1e-12
+
+    @pytest.mark.parametrize("k", [5, 20, 100, 300, 400])
+    def test_avg_length_where_the_last_term_dominates(self, k):
+        # at rho = 1/10**k the window is nearly all its last term, so
+        # 1 + rho - w_(n-1) cancels and avg_length is read as (n - r) * w_n / w_(n-1)
+        for n, r in ((6, 2), (50, 10)):
+            assert cm.cross_validate(n, Fraction(1, 10**k), r).avg_length_rel_dev <= 1e-12
 
     def test_large_n(self):
         check = cm.cross_validate(300, Fraction(3, 10), 100, tol=1e-9)

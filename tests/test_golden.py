@@ -75,7 +75,7 @@ COMMANDS = [
     ["figures", "--id", "3"],
     ["figures", "--id", "3", "--format", "json"],
     ["figures", "--id", "3", "--n-max", "40"],
-    # a long validation run, and a point just past the hump where the log delta cancels most
+    # a long validation run, and a point just past the hump, where delta/variety is smallest
     ["validate", "--rho", "3/4", "--r", "200", "--n-max", "600", "--format", "json"],
     ["eval", "--rho", "3/4", "--r", "300", "--n", "1198", "--backend", "both"],
     # a wide-range onset and a log point just before it, both far past small n

@@ -1,10 +1,13 @@
 """The log backend's window-sum kernel against exact integer window sums.
 
 `core._log_window_sum` evaluates ``log variety(n, r)`` as a regularized
-incomplete beta function by a continued fraction.  These tests hold it within
-the 1e-9 gate of ``math.log(N_n) - n * log(q)`` along long walks and at
-single large ``n``, check its convergence where the continued fraction is
-slowest, and check that its cost does not grow with the window.
+incomplete beta function by a continued fraction, together with the last
+term's share ``w_n`` of the window.  These tests hold the log within the 1e-9
+gate of ``math.log(N_n) - n * log(q)`` along long walks and at single large
+``n``, and ``w_n`` within 1e-12 of ``b_n / (q * N_n)``; they check its
+convergence where the continued fraction is slowest, that its cost does not
+grow with the window, and the delta and average length read off ``w`` far
+past the reach of the exact walk.
 """
 
 import math
@@ -15,41 +18,51 @@ import pytest
 
 from capmodel import EXACT, LOGFLOAT, DomainError, ModelParams, ResourceLimitError, core
 from capmodel.cli import main
-from capmodel.trajectory import run_trajectory
+from capmodel.trajectory import find_hump_onset, run_trajectory
 
 GATE = 1e-9
 
 
-def _exact_log(sums: core._WindowSums, n: int) -> float:
-    return math.log(sums.term(n)) - n * math.log(sums.q)
+def _exact_pair(sums: core._WindowSums, n: int) -> tuple[float, float]:
+    """The exact ``(log variety(n), w_n)``, from the walk's ``(N_n, b_n)``."""
+    window_sum, last_term = sums.term(n)
+    return math.log(window_sum) - n * math.log(sums.q), last_term / (sums.q * window_sum)
 
 
 @pytest.mark.parametrize("rho, r, n_max", [("3/4", 400, 1600), ("1/2", 30, 800)])
 def test_long_walk_matches_exact_terms(rho, r, n_max):
     exact = core._WindowSums(ModelParams(rho, r, EXACT))
     logged = core._WindowSums(ModelParams(rho, r, LOGFLOAT))
-    worst = max(abs(logged.term(n) - _exact_log(exact, n)) for n in range(r + 1, n_max + 1))
-    assert worst <= GATE
+    worst_log = worst_share = 0.0
+    for n in range(r, n_max + 1):
+        (log_v, w), (exact_log_v, exact_w) = logged.term(n), _exact_pair(exact, n)
+        worst_log = max(worst_log, abs(log_v - exact_log_v))
+        worst_share = max(worst_share, abs(w / exact_w - 1))
+    assert worst_log <= GATE
+    assert worst_share <= 1e-12
 
 
 @pytest.mark.parametrize("rho, r", [("1/2", 400), ("1/10", 1000)])
 def test_single_point_at_n_100000(rho, r):
     n, p, q = 100_000, Fraction(rho).numerator, Fraction(rho).denominator
-    exact = _exact_log(core._WindowSums(ModelParams(rho, r, EXACT)), n)
-    assert abs(core._log_window_sum(n, r, p, q) - exact) <= GATE
+    exact_log_v, exact_w = _exact_pair(core._WindowSums(ModelParams(rho, r, EXACT), n), n)
+    log_v, w = core._log_window_sum(n, r, p, q)
+    assert abs(log_v - exact_log_v) <= GATE
+    assert abs(w / exact_w - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1_001, 100_001])
 def test_converges_at_the_switch_point(n):
     # rho = 1 and r = (n-1)/2 put x exactly on the switch (a+1)/(a+b+2) = 1/2,
     # where the continued fraction is slowest; the window holds half of 2**n
-    assert abs(core._log_window_sum(n, (n - 1) // 2, 1, 1) - (n - 1) * math.log(2)) <= GATE
+    log_v, _ = core._log_window_sum(n, (n - 1) // 2, 1, 1)
+    assert abs(log_v - (n - 1) * math.log(2)) <= GATE
 
 
 def test_switch_point_at_n_a_billion_is_fast():
     n = 10**9 + 1
     started = time.perf_counter()
-    value = core._log_window_sum(n, (n - 1) // 2, 1, 1)
+    value, _ = core._log_window_sum(n, (n - 1) // 2, 1, 1)
     assert time.perf_counter() - started < 0.05
     assert value == pytest.approx((n - 1) * math.log(2), rel=1e-12)
 
@@ -153,3 +166,58 @@ def test_log_rho_near_one_has_no_cancellation():
     assert abs(core._log_rho(999, 1000) / float(series) - 1) <= 1e-15
     # far below rho ~ 1e-16, (p - q) / q rounds to -1.0, where log1p would raise
     assert math.isfinite(core._log_rho(1, 10**400))
+
+
+def test_log_delta_sign_agrees_with_the_exact_hump_at_the_onset():
+    # onset - 2 .. onset + 1, where delta / variety is smallest; at r = 5e7 the
+    # difference of two window-sum logs got the sign wrong at 4 of these points
+    started, points = time.perf_counter(), 0
+    for rho in ("1/2", "3/4", "1/10"):
+        p, q = Fraction(rho).numerator, Fraction(rho).denominator
+        for r in (10**3, 10**5, 10**7, 5 * 10**7):
+            onset = find_hump_onset(r, rho, 100 * r)
+            for n in range(onset - 2, onset + 2):
+                sign = core.variety_delta(n, rho, r, LOGFLOAT).sign
+                assert sign == (-1 if core._hump(n, r, p, q) else 1), (rho, r, n)
+                points += 1
+    assert points == 48
+    assert time.perf_counter() - started < 0.1
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9])
+def test_log_avg_length_lies_in_the_window_and_rises(n):
+    # claim A on the log backend: max(n - r, rho*n/(1+rho)) <= avg_length(n) < n and
+    # avg_length(n+1) > avg_length(n), compared as logs so no rounding back is added
+    started = time.perf_counter()
+    for rho in ("1/2", "3/4", "1/10", "9/10", "1"):
+        p, q = Fraction(rho).numerator, Fraction(rho).denominator
+        for r in (10, 1000, n // 10, n // 3, n // 2, 2 * n // 3, n - 10):
+            sums = core._window_sums(n + 1, ModelParams(rho, r, LOGFLOAT), n)
+            now, after = sums.avg_length(n).log_abs, sums.avg_length(n + 1).log_abs
+            assert math.log(max(n - r, n * p / (p + q))) <= now < math.log(n), (rho, r)
+            assert after > now, (rho, r)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_a_point_reads_terms_n_minus_1_and_n_only(monkeypatch, tmp_path):
+    # a log eval computes two window sums, and a trajectory to n_max draws
+    # n_max + 1 terms from each stream: no quantity reads term n + 1
+    calls, drawn, log_window_sum = [], [], core._log_window_sum
+
+    def counting_sum(*args):
+        calls.append(args)
+        return log_window_sum(*args)
+
+    def counting(backend, terms):
+        return lambda *args: ((drawn.append(backend) or s, last) for s, last in terms(*args))
+
+    monkeypatch.setattr(core, "_log_window_sum", counting_sum)
+    args = ["eval", "--rho", "1/2", "--r", "400", "--n", "1000", "--backend", "logfloat"]
+    assert main([*args, "--out", str(tmp_path / "eval.csv")]) == 0
+    assert [n for n, *_ in calls] == [999, 1000]
+
+    monkeypatch.setattr(core, "_exact_terms", counting(EXACT, core._exact_terms))
+    monkeypatch.setattr(core, "_log_terms", counting(LOGFLOAT, core._log_terms))
+    for backend in (EXACT, LOGFLOAT):
+        run_trajectory(ModelParams("3/4", 20, backend), 90)
+    assert drawn.count(EXACT) == drawn.count(LOGFLOAT) == 91

@@ -2,11 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from capmodel import DomainError, LogScalar, as_rational
-from capmodel.core import _log_sub
 
 
 class TestAsRational:
@@ -39,11 +36,6 @@ class TestAsRational:
             as_rational(True)
 
 
-positive = st.floats(
-    min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
 class TestLogScalar:
     def test_zero_is_canonical(self):
         z = LogScalar.zero()
@@ -51,22 +43,6 @@ class TestLogScalar:
         assert LogScalar(0, 5.0) == z
         assert z.to_float() == 0.0
         assert LogScalar.from_float(0.0) == LogScalar.from_float(-0.0) == z
-
-    # log-space subtraction lives in the kernel, which works on log magnitudes
-
-    @given(positive, positive)
-    def test_sub_matches_float(self, a, b):
-        got = _log_sub(math.log(a), math.log(b)).to_float()
-        assert got == pytest.approx(a - b, rel=1e-9, abs=1e-12)
-
-    def test_exact_cancellation_gives_zero(self):
-        x = math.log(7.25)
-        assert _log_sub(x, x) == LogScalar.zero()
-
-    def test_signed_subtraction(self):
-        got = _log_sub(math.log(2.0), math.log(5.0))
-        assert got.sign == -1
-        assert got.to_float() == pytest.approx(-3.0)
 
     def test_beyond_double_range(self):
         huge = LogScalar.from_log(5000.0)
