@@ -169,8 +169,8 @@ def test_log_rho_near_one_has_no_cancellation():
 
 
 def test_log_delta_sign_agrees_with_the_exact_hump_at_the_onset():
-    # onset - 2 .. onset + 1, where delta / variety is smallest; at r = 5e7 the
-    # difference of two window-sum logs got the sign wrong at 4 of these points
+    # onset - 2 .. onset + 1, where delta / variety is smallest and the sign of
+    # rho - w_n is hardest to get right
     started, points = time.perf_counter(), 0
     for rho in ("1/2", "3/4", "1/10"):
         p, q = Fraction(rho).numerator, Fraction(rho).denominator
