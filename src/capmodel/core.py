@@ -298,27 +298,29 @@ def _coprime(num: int, den: int) -> Fraction:
 
 
 class _WindowSums:
-    """The window sums of one `ModelParams`, read forward from ``first - 1``.
+    """The window sums of one `ModelParams`, read forward.
 
-    ``term(k)`` is a pair from `_exact_terms` or `_log_terms`.  One stream
-    yields the terms in order and only the latest two are kept: the ``n - 1``
-    and ``n`` a point reads.  Reading further back is an ``IndexError``.
-    Opening the stream reads no term, so the hump and the stage, which read
-    none, cost no walk.
+    ``term(k)`` is a pair from `_exact_terms` or `_log_terms`.  One stream,
+    opened at the first ``k`` read, yields the terms in order and keeps only
+    the latest two: the ``n - 1`` and ``n`` a point reads.  Reading further
+    back is an ``IndexError``, so a point reads ``avg_length`` first.  The
+    hump and the stage read no term and cost no walk.
     """
 
-    def __init__(self, params: ModelParams, first: int = 0):
+    def __init__(self, params: ModelParams):
         self.params, self.r, self.exact = params, params.r, params.backend == EXACT
         self.p, self.q = p, q = params.rho.numerator, params.rho.denominator
         self.log_rho = _log_rho(p, q)
-        self._next = max(first - 1, 0)  # the index of the term the stream yields next
-        self._stream = (_exact_terms if self.exact else _log_terms)(self._next, self.r, p, q)
+        self._stream = self._next = None  # opened by the first `term`, at the k it reads
         self._last: tuple = ()  # the latest terms, oldest first
 
     def binds(self, n: int) -> bool:
         return self.r is not UNBOUNDED and self.r < n
 
     def term(self, k: int) -> tuple[int, int] | tuple[float, float]:
+        if self._stream is None:
+            self._next = k  # the index of the term the stream yields next
+            self._stream = (_exact_terms if self.exact else _log_terms)(k, self.r, self.p, self.q)
         while self._next <= k:
             self._last = (*self._last[-1:], next(self._stream))
             self._next += 1
@@ -359,21 +361,21 @@ class _WindowSums:
     def hump(self, n: int) -> bool:
         return self.binds(n) and _hump(n, self.r, self.p, self.q)
 
-    def stage(self, n: int) -> Stage:
+    def stage(self, n: int, hump: bool) -> Stage:
         if not self.binds(n):
             return Stage.DEVELOPING
-        return Stage.DEVELOPED if self.hump(n) else Stage.TRANSITIONING
+        return Stage.DEVELOPED if hump else Stage.TRANSITIONING
 
 
-def _window_sums(n: int, params: ModelParams, first: int, name: str = "n") -> _WindowSums:
-    """Check the last ``n`` a caller reads; open the window sums of ``params`` at ``first``."""
+def _window_sums(n: int, params: ModelParams, name: str = "n") -> _WindowSums:
+    """Check the last ``n`` a caller reads, then return the window sums of ``params``."""
     _check_count(n, name)
     if params.backend == LOGFLOAT and n > _LOG_N_MAX:
         raise DomainError(
             f"{name} must be at most {_LOG_N_MAX:.0e} on the {LOGFLOAT} backend,"
             f" got an integer of {n.bit_length()} bits"
         )
-    return _WindowSums(params, first)
+    return _WindowSums(params)
 
 
 def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -382,7 +384,7 @@ def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -
     Unconstrained (``r`` is UNBOUNDED or ``r >= n``) this is
     ``(1 + rho) ** n``; a binding range keeps only lengths in ``[n - r, n]``.
     """
-    return _window_sums(n, ModelParams(rho, r, backend), n).variety(n)
+    return _window_sums(n, ModelParams(rho, r, backend)).variety(n)
 
 
 def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -392,12 +394,12 @@ def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT
     ratio form ``n * rho * variety(n-1, r) / variety(n, r)``, which equals
     the length-weighted mean over the allowed window.
     """
-    return _window_sums(n, ModelParams(rho, r, backend), n).avg_length(n)
+    return _window_sums(n, ModelParams(rho, r, backend)).avg_length(n)
 
 
 def variety_delta(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
     """One growth step of variety, ``variety(n+1, r) - variety(n, r)`` (signed)."""
-    return _window_sums(n, ModelParams(rho, r, backend), n).delta(n)
+    return _window_sums(n, ModelParams(rho, r, backend)).delta(n)
 
 
 def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> bool:
@@ -414,12 +416,13 @@ def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = E
     closed form divided by its right side: no rounding, no window sum, and a
     cost that does not grow with ``n``.
     """
-    return _window_sums(n, ModelParams(rho, r, backend), n).hump(n)
+    return _window_sums(n, ModelParams(rho, r, backend)).hump(n)
 
 
 def classify_stage(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Stage:
     """DEVELOPING while r >= n, then TRANSITIONING until the hump, DEVELOPED after."""
-    return _window_sums(n, ModelParams(rho, r, backend), n).stage(n)
+    sums = _window_sums(n, ModelParams(rho, r, backend))
+    return sums.stage(n, sums.hump(n))
 
 
 def _relative_deviation(exact: Fraction, approx: LogScalar) -> float:
@@ -468,10 +471,10 @@ def _cross_checks(
 ) -> list[CrossCheck]:
     """`cross_validate` at every n = first..n_max, in one walk of each backend."""
     _check_positive(tol, "tol")
-    exact = _window_sums(n_max, ModelParams(rho, r), first)
-    logged = _WindowSums(exact.params._replace(backend=LOGFLOAT), first)
+    exact = _window_sums(n_max, ModelParams(rho, r))
+    logged = _WindowSums(exact.params._replace(backend=LOGFLOAT))
     checks = []
-    for n in range(first, n_max + 1):
+    for n in range(first, n_max + 1):  # avg_length first: it reads term n - 1
         a_exact, a_log = exact.avg_length(n), logged.avg_length(n)
         v_exact, v_log = exact.variety(n), logged.variety(n)
         deviations = _relative_deviation(v_exact, v_log), _relative_deviation(a_exact, a_log)

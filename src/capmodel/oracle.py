@@ -381,8 +381,8 @@ def validate_expectations(
         for s in range(n + 1)
     )
 
-    sums = _window_sums(n, params, n)
-    expected_var, expected_avg = float(sums.variety(n)), float(sums.avg_length(n))
+    sums = _window_sums(n, params)
+    expected_avg, expected_var = float(sums.avg_length(n)), float(sums.variety(n))  # n - 1 before n
     var_cnt = math.fsum(count_vars[lo:])
     emp_var = variety_sum / trials
     z_var = _zscore(emp_var - expected_var, math.sqrt(var_cnt / trials))

@@ -5,14 +5,13 @@ walk of the window sums, tagging each point with its stage and recording
 two landmark indices: the first n where the product range binds (always
 r + 1 for bounded r) and the first n where the hump condition holds.
 
-Once the hump condition holds it holds for every larger n.  Dividing the
-condition ``variety(n, r) < C(n, r) * rho**(n - r - 1)`` by its right side
-gives ``sum_{j=0}^{r} [C(n, j) / C(n, r)] * rho**(r + 1 - j) < 1``, and
-each ratio ``C(n, j) / C(n, r) = r! (n - r)! / (j! (n - j)!)`` with j < r
-shrinks as n grows, so the left side never increases.  A scan of every
-rho = p/q with q <= 20 and r in 0..40, 60, 100, 150 found no reverting
-trajectory either.  ``non_monotone_flag`` therefore always reads False; it
-stays in the result, and in its serialized form, as a checked invariant.
+Theorem: once the hump condition holds it holds for every larger n.  Dividing
+the condition ``variety(n, r) < C(n, r) * rho**(n - r - 1)`` by its right side
+gives ``sum_{j=0}^{r} [C(n, j) / C(n, r)] * rho**(r + 1 - j) < 1``, and each
+ratio ``C(n, j) / C(n, r) = r! (n - r)! / (j! (n - j)!)`` with j < r shrinks
+as n grows, so the left side never increases.  So ``non_monotone_flag`` is
+False by the theorem, not by a run-time scan (tier-1 checks that a binding
+point is DEVELOPED exactly where delta < 0); it stays in the result and JSON.
 """
 
 from __future__ import annotations
@@ -56,6 +55,9 @@ class Trajectory(NamedTuple):
     non_monotone_flag: bool
 
     def point(self, n: int) -> TrajectoryPoint:
+        _check_count(n)
+        if n >= len(self.points):
+            raise DomainError(f"n must be at most n_max = {len(self.points) - 1}, got {n}")
         return self.points[n]
 
 
@@ -65,37 +67,37 @@ def default_n_max(r: Range) -> int:
     return 50 if r is UNBOUNDED else max(3 * r, 50)
 
 
-def _point(sums: _WindowSums, n: int) -> TrajectoryPoint:
-    """The point at ``n``: it reads the window sums at n - 1 and n only."""
+def _point(sums: _WindowSums, n: int, hump: bool) -> TrajectoryPoint:
+    """The point at ``n``: it reads the window sums at n - 1 and n, in that order."""
     return TrajectoryPoint(
         n=n,
-        variety=sums.variety(n),
         avg_length=sums.avg_length(n),
+        variety=sums.variety(n),
         delta_variety=sums.delta(n),
-        stage=sums.stage(n),
+        stage=sums.stage(n, hump),
         constrained=sums.binds(n),
     )
 
 
 def evaluate_point(params: ModelParams, n: int) -> TrajectoryPoint:
-    """All per-n quantities for one point under fixed parameters."""
-    return _point(_window_sums(n, params, n), n)
+    """All per-n quantities for one point; one `_hump` test decides its stage."""
+    sums = _window_sums(n, params)
+    return _point(sums, n, sums.hump(n))
 
 
 def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
-    """Evaluate the model at every n = 0..n_max under fixed parameters."""
+    """Evaluate the model at every n = 0..n_max under fixed parameters.
+
+    Both landmarks come before the walk: the range binds from r + 1 on, and the
+    hump holds from `find_hump_onset`'s bisected onset on, by the theorem.
+    """
     if n_max is None:
         n_max = default_n_max(params.r)
-    sums = _window_sums(n_max, params, 0, "n_max")
-    points = tuple(_point(sums, n) for n in range(n_max + 1))
-    humps = [point.stage is Stage.DEVELOPED for point in points]
-    return Trajectory(
-        params=params,
-        points=points,
-        transition_constrained_at=next((point.n for point in points if point.constrained), None),
-        hump_onset_at=humps.index(True) if True in humps else None,
-        non_monotone_flag=any(a and not b for a, b in pairwise(humps)),
-    )
+    sums, r = _window_sums(n_max, params, "n_max"), params.r
+    binds = sums.binds(n_max)
+    onset = find_hump_onset(r, params.rho, n_max) if binds else None
+    points = tuple(_point(sums, n, onset is not None and n >= onset) for n in range(n_max + 1))
+    return Trajectory(params, points, r + 1 if binds else None, onset, non_monotone_flag=False)
 
 
 def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import capmodel as cm
 from capmodel import EXACT, LOGFLOAT, DomainError, ModelParams, ResourceLimitError, core
 from capmodel.cli import main
 from capmodel.trajectory import find_hump_onset, run_trajectory
@@ -45,7 +46,7 @@ def test_long_walk_matches_exact_terms(rho, r, n_max):
 @pytest.mark.parametrize("rho, r", [("1/2", 400), ("1/10", 1000)])
 def test_single_point_at_n_100000(rho, r):
     n, p, q = 100_000, Fraction(rho).numerator, Fraction(rho).denominator
-    exact_log_v, exact_w = _exact_pair(core._WindowSums(ModelParams(rho, r, EXACT), n), n)
+    exact_log_v, exact_w = _exact_pair(core._WindowSums(ModelParams(rho, r, EXACT)), n)
     log_v, w = core._log_window_sum(n, r, p, q)
     assert abs(log_v - exact_log_v) <= GATE
     assert abs(w / exact_w - 1) <= 1e-12
@@ -192,11 +193,45 @@ def test_log_avg_length_lies_in_the_window_and_rises(n):
     for rho in ("1/2", "3/4", "1/10", "9/10", "1"):
         p, q = Fraction(rho).numerator, Fraction(rho).denominator
         for r in (10, 1000, n // 10, n // 3, n // 2, 2 * n // 3, n - 10):
-            sums = core._window_sums(n + 1, ModelParams(rho, r, LOGFLOAT), n)
+            sums = core._window_sums(n + 1, ModelParams(rho, r, LOGFLOAT))
             now, after = sums.avg_length(n).log_abs, sums.avg_length(n + 1).log_abs
             assert math.log(max(n - r, n * p / (p + q))) <= now < math.log(n), (rho, r)
             assert after > now, (rho, r)
     assert time.perf_counter() - started < 0.1
+
+
+def test_a_point_opens_its_stream_at_the_first_term_it_reads(monkeypatch):
+    # variety and delta read term n only; avg_length, a whole point and the
+    # oracle's expectations read n - 1 and then n
+    calls, opened = [], []
+    log_window_sum, exact_terms = core._log_window_sum, core._exact_terms
+
+    def counting_sum(n, *args):
+        calls.append(n)
+        return log_window_sum(n, *args)
+
+    def opening(k, *args):
+        opened.append(k)
+        return exact_terms(k, *args)
+
+    monkeypatch.setattr(core, "_log_window_sum", counting_sum)
+    monkeypatch.setattr(core, "_exact_terms", opening)
+    readers = {
+        cm.variety: 0,
+        cm.variety_delta: 0,
+        cm.avg_length: 1,
+        lambda n, rho, r, backend: cm.evaluate_point(ModelParams(rho, r, backend), n): 1,
+    }
+    for read, back in readers.items():
+        calls.clear()
+        opened.clear()
+        read(5000, "1/2", 200, LOGFLOAT)
+        assert calls == list(range(5000 - back, 5001))
+        read(300, "1/2", 200, EXACT)
+        assert opened == [300 - back]
+    opened.clear()
+    cm.validate_expectations(12, "1/2", 4, trials=30)
+    assert opened == [11]
 
 
 def test_a_point_reads_terms_n_minus_1_and_n_only(monkeypatch, tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import capmodel as cm
-from capmodel import EXACT, LOGFLOAT, ModelParams, Stage, UNBOUNDED
+from capmodel import EXACT, LOGFLOAT, ModelParams, Stage, UNBOUNDED, core, trajectory
 
 HALF = Fraction(1, 2)
 
@@ -75,18 +75,42 @@ class TestRunTrajectory:
         assert traj.points[0].variety == 1
 
     def test_hump_never_reverts_on_a_grid(self):
-        # the hump condition, once true, stays true (see the trajectory docstring)
+        # the theorem in the trajectory docstring: stages come from the bisected
+        # onset, and each binding point is DEVELOPED exactly where its exact delta,
+        # read off the walk and not from _hump, is negative
         started = time.perf_counter()
         rhos = {Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)}
         humps = 0
         for rho in sorted(rhos):
             for r in (0, 1, 2, 3, 5, 8, 13, 21, 40):
                 traj = cm.run_trajectory(ModelParams(rho, r), n_max=max(3 * r, 50) + 50)
-                assert traj.non_monotone_flag is False, (rho, r)
+                for point in traj.points[r + 1 :]:
+                    developed = point.stage is Stage.DEVELOPED
+                    assert developed == (point.delta_variety < 0), (rho, r, point.n)
                 humps += traj.hump_onset_at is not None
         assert humps > 0.8 * 9 * len(rhos)  # most paths pass the hump and go on
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0, f"grid took {elapsed:.2f}s, budget 2s"
+
+    def test_onset_bisected_once_per_trajectory(self, monkeypatch):
+        # the walk decides no stage itself: every _hump test is find_hump_onset's
+        calls, hump, onset = [], core._hump, cm.find_hump_onset(400, "3/4", 1600)
+
+        def counting(*args):
+            calls.append(args)
+            return hump(*args)
+
+        monkeypatch.setattr(core, "_hump", counting)
+        monkeypatch.setattr(trajectory, "_hump", counting)
+        assert cm.run_trajectory(ModelParams("3/4", 400), 1600).hump_onset_at == onset
+        assert 0 < len(calls) <= 12  # a test per binding point would make 1,200
+
+    @pytest.mark.parametrize("n", [-1, True, False, 13, 2.0, "x", None])
+    def test_point_rejects_anything_but_an_index(self, n):
+        traj = cm.run_trajectory(ModelParams(HALF, 3), n_max=12)
+        with pytest.raises(cm.DomainError):
+            traj.point(n)
+        assert traj.point(0).n == 0 and traj.point(12).n == 12
 
     def test_log_backend_trajectory(self):
         exact = cm.run_trajectory(ModelParams(HALF, 8, EXACT), n_max=40)
