@@ -19,7 +19,8 @@ starting with "-", is read straight from that command's rows; any other argv
 (``--help``, a misspelt command, an abbreviated flag, ``--n -1``, ``--``)
 goes to argparse, which is imported only then, builds one parser for every
 command, and writes every help and usage message.  `json` is imported only
-to read or write JSON, and `entry_point` (``python -m capmodel`` and the
+to read a config file, `trajectory`, `sweep` and `eval` write each row as
+the walk yields its point, and `entry_point` (``python -m capmodel`` and the
 ``capmodel`` script) ends the process without the interpreter's final sweep
 over live objects.
 """
@@ -49,10 +50,11 @@ from .errors import CapModelError, DomainError
 from .figures import FIGURE_IDS, figure_dataset
 from .oracle import MODES, validate_expectations
 from .trajectory import (
-    evaluate_point,
+    _sweep,
+    _walk,
+    default_n_max,
     find_hump_onset,
     hump_onsets_nondecreasing,
-    run_trajectory,
     sweep_range,
 )
 
@@ -259,22 +261,26 @@ def _cmd_points(config: RunConfig) -> int:
     With both, the exact points give the exact cells, the stages and the
     landmarks, and the log points give the float cells.
     """
-    runs = []
-    for backend in (EXACT, LOGFLOAT) if config.backend == BOTH else (config.backend,):
-        params = ModelParams(config.rho, config.r, backend)
-        trajectory = None if config.command == "eval" else run_trajectory(params, config.n_max)
-        points = (evaluate_point(params, config.n),) if trajectory is None else trajectory.points
-        runs.append((params, points, trajectory))
-    (params, points, trajectory), *logged = runs
-    rows = serialize.trajectory_rows(points, *(floats for _, floats, _ in logged))
-    payload = serialize.trajectory_json_payload(params, rows, trajectory)
+    evaluates = config.command == "eval"
+    if evaluates:
+        first, last, name = config.n, config.n, "n"
+    else:
+        n_max = default_n_max(config.r) if config.n_max is None else config.n_max
+        first, last, name = 0, n_max, "n_max"
+    backends = (EXACT, LOGFLOAT) if config.backend == BOTH else (config.backend,)
+    walks = [_walk(ModelParams(config.rho, config.r, b), first, last, name) for b in backends]
+    # a trajectory streams; an eval computes its point first, so its errors precede any output
+    streams = [list(walk.points) if evaluates else walk.points for walk in walks]
+    rows = serialize.trajectory_rows(*streams)
+    head = walks[0]
+    payload = serialize.trajectory_json_payload(head.params, rows, None if evaluates else head)
     payload["params"]["backend"] = config.backend
     _emit(config, lambda: rows, lambda: payload)
     return 0
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    trajectories = sweep_range(config.rho, list(config.r_values), config.n_max, config.backend)
+    trajectories = _sweep(config.rho, list(config.r_values), config.n_max, config.backend)
     nondecreasing = hump_onsets_nondecreasing(trajectories)
     _emit(config, lambda: serialize.sweep_rows(trajectories), lambda: {
         **serialize.sweep_json_payload(config.rho, trajectories),
@@ -289,7 +295,7 @@ def _cmd_hump(config: RunConfig) -> int:
         raise DomainError(f"n-max: must be at least r + 1 = {config.r + 1}, got {config.n_max}")
     onset = find_hump_onset(config.r, config.rho, config.n_max)
     row = serialize.hump_payload(config.rho, config.r, config.n_max, onset)
-    _emit(config, lambda: [row], lambda: row)
+    _emit(config, lambda: serialize.Table(tuple(row), [tuple(row.values())]), lambda: row)
     if onset is None:
         print(f"hump onset: none within n <= {config.n_max}")
     else:

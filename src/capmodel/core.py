@@ -24,22 +24,42 @@ bind (r >= n), *transitioning* while it binds but variety still grows, and
 *developed* once variety falls.
 
 Every quantity at ``n`` is read off the terms ``n - 1`` and ``n`` of one
-sequence per ``(rho, r)``, each a pair: the window sum and its last term.
-With ``rho = p/q``, the exact backend walks ``(N_n, b_n)``, where
-``N_n = q**n * variety(n, r)``; multiplying the step identity by ``q**(n+1)``,
+sequence per ``(rho, r)``.  With ``rho = p/q``, the exact backend walks
+``N_n = q**n * variety(n, r) = sum_{s = max(0, n-r)}^{n} C(n, s) * p**s * q**(n-s)``;
+multiplying the step identity by ``q**(n+1)``,
 
     N_{n+1} = (p + q) * N_n - b_n,    b_n = [n >= r] * C(n, r) * p**(n-r) * q**(r+1)
 
-started from the closed form ``(p + q)**min(n, r)``, so each step is one
-big-integer multiply-subtract and every identity holds with zero tolerance.
+started from the closed form ``(p + q)**min(n, r)``.  Every term of ``N_n``
+has ``s >= n - r``, so ``N_n = p**max(0, n-r) * M_n`` with ``M_n`` an integer,
+and dividing the step by ``p**(n-r)`` gives, for ``n >= r``,
 
-Two of the three exact values need no gcd.  Modulo ``q`` the start
-``(p + q)**j`` is ``p**j``, and each step multiplies by ``p + q``, which is
-``p``, and subtracts a multiple of ``q``; so ``N_n = p**n (mod q)``.  As
-``p`` and ``q`` are coprime, ``variety = N_n / q**n`` is in lowest terms,
-and so is ``delta = (p * N_n - b_n) / q**(n+1)``, whose numerator is
-``p**(n+1) (mod q)``: `_coprime` builds both as they are.  No such argument
-covers ``avg_length = n * p * N_{n-1} / N_n``, which keeps its gcd.
+    p * M_{n+1} = (p + q) * M_n - c_n,    c_n = C(n, r) * q**(r+1)
+
+from ``M_r = (p + q)**r``.  The walk carries ``(N_n, b_n, M_n, c_n)``: each
+step multiplies by a small integer and divides exactly by one, and every
+identity holds with zero tolerance.
+
+Modulo ``q`` only the term ``s = n`` of either sum survives, so
+``N_n = p**n`` and ``M_n = p**min(n, r) (mod q)``: both are prime to ``q``.
+So ``variety = N_n / q**n`` is in lowest terms, and so is
+``delta = (p * N_n - b_n) / q**(n+1)``, whose numerator is
+``p**(n+1) (mod q)``: `_coprime` builds both as they are.  For ``n - 1 >= r``,
+``avg_length = n * p * N_{n-1} / N_n = n * M_{n-1} / M_n``.  A common divisor
+of ``M_{n-1}`` and ``M_n`` divides ``(p + q) * M_{n-1} - p * M_n = c_{n-1}``
+and is prime to ``q``, so it divides ``C(n-1, r)``; so the gcd of
+``n * p * N_{n-1}`` and ``N_n`` is ``p**(n-r)`` times a divisor of
+``n * C(n-1, r)``, and `math.gcd` runs on the p-free terms alone.  For
+``n <= r``, ``avg_length = n * p / (p + q)``.
+
+The average length rises with every ``n``, for every ``rho`` and ``r``.  Since
+``C(n+1, s) * rho**s = C(n, s) * rho**s + rho * C(n, s-1) * rho**(s-1)``, the
+lengths at ``n + 1``, weighted by ``C(n+1, s) * rho**s`` over their window,
+are a mixture of two parts: the window at ``n``, less its lowest length
+``n - r`` where ``r <= n`` (so empty when ``r = 0``), whose mean is at least
+``avg_length(n)``; and the whole window at ``n`` shifted up by one, with
+weight ``rho * variety(n, r) > 0`` and mean ``avg_length(n) + 1``.  So
+``avg_length(n+1) > avg_length(n)``.
 
 The log-domain backend (`LogScalar`) computes each window sum on its own
 instead of walking: run in floating point, the recurrence cancels once the
@@ -61,7 +81,9 @@ backends decide the hump with one exact integer test, `_hump`, that reads no
 window sum, so its cost does not grow with ``n``.
 
 All functions are pure and share no state: each call walks its own sequence
-forward and keeps only its latest two terms.
+forward and keeps only its latest two terms.  `_points` is the one point
+generator: trajectories, single points, `cross_validate`, the oracle and the
+CLI's streamed rows all iterate it.
 """
 
 from __future__ import annotations
@@ -245,22 +267,32 @@ def _log_terms(k: int, r: Range, p: int, q: int):
 
 
 def _exact_terms(k: int, r: Range, p: int, q: int):
-    """Yield ``(N_n, b_n)`` for n = k, k + 1, ... and rho = p/q, walked from the
-    closed form ``N_j = (p + q)**j`` at ``j = min(k, r)``.
+    """Yield ``(N_n, b_n, M_n, c_n)`` for n = k, k + 1, ... and rho = p/q.
 
-    ``b_j`` is what step ``j`` subtracts, ``C(j, r) * p**(j-r) * q**(r+1)``
-    from ``j = r`` on; step ``j`` multiplies it by ``p*j / (j - r)``.
+    ``M_n`` and ``c_n`` are ``N_n`` and ``b_n`` without their factor
+    ``p**max(0, n-r)``; ``c_j = C(j, r) * q**(r+1)`` from ``j = r`` on, and step
+    ``j`` multiplies it by ``j / (j - r)`` (and ``b_j`` by ``p*j / (j - r)``).
+    The walk starts from the closed form ``N_j = (p + q)**j`` at ``j = min(k, r)``
+    and carries only ``(N, b)`` up to ``k``, where one exact division by
+    ``p**(k-r)`` gives ``(M_k, c_k)``; from ``k`` on it carries all four.
     """
     s, j = p + q, k if r is UNBOUNDED else min(k, r)
     n_j, b = s**j, q ** (r + 1) if j == r else 0
-    while True:
-        if j >= k:
-            yield n_j, b
+    while j < k:  # so r <= j < k
         n_j, j = s * n_j - b, j + 1
-        if j == r:
-            b = q ** (r + 1)
-        elif b:
-            b = b * (p * j) // (j - r)
+        b = b * (p * j) // (j - r)
+    p_j = p ** (j - r) if b else 1
+    m, c = n_j // p_j, b // p_j
+    while True:
+        yield n_j, b, m, c
+        j += 1
+        if c:
+            n_j, m = s * n_j - b, (s * m - c) // p
+            b, c = b * (p * j) // (j - r), c * j // (j - r)
+        else:
+            n_j = m = s * n_j
+            if j == r:
+                b = c = q ** (r + 1)
 
 
 def _hump(n: int, r: int, p: int, q: int) -> bool:
@@ -297,85 +329,85 @@ def _coprime(num: int, den: int) -> Fraction:
     return value
 
 
-class _WindowSums:
-    """The window sums of one `ModelParams`, read forward.
-
-    ``term(k)`` is a pair from `_exact_terms` or `_log_terms`.  One stream,
-    opened at the first ``k`` read, yields the terms in order and keeps only
-    the latest two: the ``n - 1`` and ``n`` a point reads.  Reading further
-    back is an ``IndexError``, so a point reads ``avg_length`` first.  The
-    hump and the stage read no term and cost no walk.
-    """
-
-    def __init__(self, params: ModelParams):
-        self.params, self.r, self.exact = params, params.r, params.backend == EXACT
-        self.p, self.q = p, q = params.rho.numerator, params.rho.denominator
-        self.log_rho = _log_rho(p, q)
-        self._stream = self._next = None  # opened by the first `term`, at the k it reads
-        self._last: tuple = ()  # the latest terms, oldest first
-
-    def binds(self, n: int) -> bool:
-        return self.r is not UNBOUNDED and self.r < n
-
-    def term(self, k: int) -> tuple[int, int] | tuple[float, float]:
-        if self._stream is None:
-            self._next = k  # the index of the term the stream yields next
-            self._stream = (_exact_terms if self.exact else _log_terms)(k, self.r, self.p, self.q)
-        while self._next <= k:
-            self._last = (*self._last[-1:], next(self._stream))
-            self._next += 1
-        return self._last[k - self._next]
-
-    def variety(self, n: int) -> Scalar:
-        if self.exact:
-            return _coprime(self.term(n)[0], self.q**n)
-        return LogScalar.from_log(self.term(n)[0])
-
-    def avg_length(self, n: int) -> Scalar:
-        p, q = self.p, self.q
-        if n == 0:
-            return Fraction(0) if self.exact else LogScalar.zero()
-        if self.exact:  # powers of q cancel; other common factors need the gcd
-            return Fraction(n * p * self.term(n - 1)[0], self.term(n)[0])
-        if not self.binds(n):
-            ratio = n * p / (p + q)
-            if ratio < sys.float_info.min:  # subnormal or 0.0: divide as logs instead
-                return LogScalar.from_log(math.log(n * p) - math.log(p + q))
-            return LogScalar.from_float(ratio)
-        w_prev = self.term(n - 1)[1]
-        if 2 * w_prev > 1 + p / q:  # 1 + rho - w_prev would cancel
-            return LogScalar.from_float((n - self.r) * self.term(n)[1] / w_prev)
-        return LogScalar.from_float(n * p / q / (1 + p / q - w_prev))
-
-    def delta(self, n: int) -> Scalar:
-        p, q = self.p, self.q
-        if self.exact:
-            v, b = self.term(n)
-            return _coprime(p * v - b, q ** (n + 1))
-        log_v, w = self.term(n)
-        if not self.binds(n + 1):
-            return LogScalar.from_log(self.log_rho + log_v)
-        share = p / q - w  # rho - w_n, whose sign is delta's; a zero share is a zero delta
-        return LogScalar((share > 0) - (share < 0), log_v + math.log(abs(share) or 1.0))
-
-    def hump(self, n: int) -> bool:
-        return self.binds(n) and _hump(n, self.r, self.p, self.q)
-
-    def stage(self, n: int, hump: bool) -> Stage:
-        if not self.binds(n):
-            return Stage.DEVELOPING
-        return Stage.DEVELOPED if hump else Stage.TRANSITIONING
-
-
-def _window_sums(n: int, params: ModelParams, name: str = "n") -> _WindowSums:
-    """Check the last ``n`` a caller reads, then return the window sums of ``params``."""
+def _check_point(n: int, params: ModelParams, name: str = "n") -> None:
+    """Check the last ``n`` a caller reads on the backend of ``params``."""
     _check_count(n, name)
     if params.backend == LOGFLOAT and n > _LOG_N_MAX:
         raise DomainError(
             f"{name} must be at most {_LOG_N_MAX:.0e} on the {LOGFLOAT} backend,"
             f" got an integer of {n.bit_length()} bits"
         )
-    return _WindowSums(params)
+
+
+def _terms(params: ModelParams, k: int):
+    """The terms of ``params`` from ``k`` on: `_exact_terms` or `_log_terms`."""
+    walk = _exact_terms if params.backend == EXACT else _log_terms
+    return walk(k, params.r, params.rho.numerator, params.rho.denominator)
+
+
+def _log_delta(n: int, r: Range, p: int, q: int, log_v: float, w: float) -> LogScalar:
+    if r is UNBOUNDED or r > n:  # the range does not bind at n + 1
+        return LogScalar.from_log(_log_rho(p, q) + log_v)
+    share = p / q - w  # rho - w_n, whose sign is delta's; a zero share is a zero delta
+    return LogScalar((share > 0) - (share < 0), log_v + math.log(abs(share) or 1.0))
+
+
+def _stage(binds: bool, hump: bool) -> Stage:
+    return Stage.DEVELOPED if hump else Stage.TRANSITIONING if binds else Stage.DEVELOPING
+
+
+def _points(params: ModelParams, first: int, last: int, onset: int | None = None):
+    """Yield ``(n, variety, avg_length, delta, stage, constrained)`` for n = first..last.
+
+    Each point is read off the terms n - 1 and n of one `_terms` stream, opened
+    at ``max(first - 1, 0)``, and no term past ``last`` is drawn.  The stage is
+    DEVELOPED from ``onset`` on, the first n at which the hump holds (None if
+    none does up to ``last``), so the walk makes no hump test.
+    """
+    r, p, q = params.r, params.rho.numerator, params.rho.denominator
+    exact, developed_from = params.backend == EXACT, math.inf if onset is None else onset
+    terms = _terms(params, max(first - 1, 0))
+    prev = next(terms) if first else None
+    q_n = q**first if exact else None
+    for n, term in zip(range(first, last + 1), terms):
+        binds = r is not UNBOUNDED and r < n
+        if exact:
+            n_n, b_n, m_n, _ = term
+            if binds:  # n * M_{n-1} / M_n, reduced by a gcd of p-free terms
+                num = n * prev[2]
+                g = math.gcd(num, m_n)
+                avg = _coprime(num // g, m_n // g) if g > 1 else _coprime(num, m_n)
+            else:
+                avg = Fraction(n * p, p + q)
+            variety, q_n = _coprime(n_n, q_n), q_n * q
+            delta = _coprime(p * n_n - b_n, q_n)
+        else:
+            log_v, w = term
+            variety, delta = LogScalar.from_log(log_v), _log_delta(n, r, p, q, log_v, w)
+            if binds:
+                w_prev = prev[1]
+                if 2 * w_prev > 1 + p / q:  # 1 + rho - w_prev would cancel
+                    avg = LogScalar.from_float((n - r) * w / w_prev)
+                else:
+                    avg = LogScalar.from_float(n * p / q / (1 + p / q - w_prev))
+            elif n and n * p / (p + q) < sys.float_info.min:  # subnormal or 0.0: divide as logs
+                avg = LogScalar.from_log(math.log(n * p) - math.log(p + q))
+            else:
+                avg = LogScalar.from_float(n * p / (p + q))
+        yield n, variety, avg, delta, _stage(binds, n >= developed_from), binds
+        prev = term
+
+
+def _point(n: int, params: ModelParams) -> tuple:
+    """The values at ``n``, from `_points` with no hump test: callers read no stage."""
+    _check_point(n, params)
+    return next(_points(params, n, n))
+
+
+def _hump_at(n: int, params: ModelParams) -> bool:
+    _check_point(n, params)
+    r, rho = params.r, params.rho
+    return r is not UNBOUNDED and r < n and _hump(n, r, rho.numerator, rho.denominator)
 
 
 def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -384,7 +416,12 @@ def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -
     Unconstrained (``r`` is UNBOUNDED or ``r >= n``) this is
     ``(1 + rho) ** n``; a binding range keeps only lengths in ``[n - r, n]``.
     """
-    return _window_sums(n, ModelParams(rho, r, backend)).variety(n)
+    params = ModelParams(rho, r, backend)
+    _check_point(n, params)
+    head = next(_terms(params, n))[0]
+    if backend == EXACT:
+        return _coprime(head, params.rho.denominator**n)
+    return LogScalar.from_log(head)
 
 
 def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -394,12 +431,18 @@ def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT
     ratio form ``n * rho * variety(n-1, r) / variety(n, r)``, which equals
     the length-weighted mean over the allowed window.
     """
-    return _window_sums(n, ModelParams(rho, r, backend)).avg_length(n)
+    return _point(n, ModelParams(rho, r, backend))[2]
 
 
 def variety_delta(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
     """One growth step of variety, ``variety(n+1, r) - variety(n, r)`` (signed)."""
-    return _window_sums(n, ModelParams(rho, r, backend)).delta(n)
+    params = ModelParams(rho, r, backend)
+    _check_point(n, params)
+    p, q = params.rho.numerator, params.rho.denominator
+    head, last = next(_terms(params, n))[:2]
+    if backend == EXACT:
+        return _coprime(p * head - last, q ** (n + 1))
+    return _log_delta(n, params.r, p, q, head, last)
 
 
 def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> bool:
@@ -416,13 +459,14 @@ def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = E
     closed form divided by its right side: no rounding, no window sum, and a
     cost that does not grow with ``n``.
     """
-    return _window_sums(n, ModelParams(rho, r, backend)).hump(n)
+    return _hump_at(n, ModelParams(rho, r, backend))
 
 
 def classify_stage(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Stage:
     """DEVELOPING while r >= n, then TRANSITIONING until the hump, DEVELOPED after."""
-    sums = _window_sums(n, ModelParams(rho, r, backend))
-    return sums.stage(n, sums.hump(n))
+    params = ModelParams(rho, r, backend)
+    hump = _hump_at(n, params)
+    return _stage(params.r is not UNBOUNDED and params.r < n, hump)
 
 
 def _relative_deviation(exact: Fraction, approx: LogScalar) -> float:
@@ -471,13 +515,13 @@ def _cross_checks(
 ) -> list[CrossCheck]:
     """`cross_validate` at every n = first..n_max, in one walk of each backend."""
     _check_positive(tol, "tol")
-    exact = _window_sums(n_max, ModelParams(rho, r))
-    logged = _WindowSums(exact.params._replace(backend=LOGFLOAT))
+    params = ModelParams(rho, r)
+    _check_point(n_max, params)
+    exact = _points(params, first, n_max)
+    logged = _points(params._replace(backend=LOGFLOAT), first, n_max)
     checks = []
-    for n in range(first, n_max + 1):  # avg_length first: it reads term n - 1
-        a_exact, a_log = exact.avg_length(n), logged.avg_length(n)
-        v_exact, v_log = exact.variety(n), logged.variety(n)
+    for (n, v_exact, a_exact, *_), (_, v_log, a_log, *_) in zip(exact, logged):
         deviations = _relative_deviation(v_exact, v_log), _relative_deviation(a_exact, a_log)
-        fields = n, r, exact.params.rho, tol, v_exact, v_log, a_exact, a_log, *deviations
+        fields = n, r, params.rho, tol, v_exact, v_log, a_exact, a_log, *deviations
         checks.append(CrossCheck(*fields))
     return checks

@@ -40,7 +40,7 @@ from .core import (
     _check_count,
     _check_positive,
     _check_range,
-    _window_sums,
+    _point,
     checked_rho,
 )
 from .errors import DomainError, ResourceLimitError
@@ -381,8 +381,8 @@ def validate_expectations(
         for s in range(n + 1)
     )
 
-    sums = _window_sums(n, params)
-    expected_avg, expected_var = float(sums.avg_length(n)), float(sums.variety(n))  # n - 1 before n
+    _, variety, avg_length, *_ = _point(n, params)
+    expected_avg, expected_var = float(avg_length), float(variety)
     var_cnt = math.fsum(count_vars[lo:])
     emp_var = variety_sum / trials
     z_var = _zscore(emp_var - expected_var, math.sqrt(var_cnt / trials))

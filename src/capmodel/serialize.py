@@ -6,9 +6,13 @@ are split in halves by ``10**k``, as in gh-90716.  Float columns carry 12
 significant digits (positional for exponents in [-4, 16), else scientific),
 rounded half to even from the exact value: by the correctly rounded ``dtoa``
 of ``format(x, ".11e")`` for a double (Gay 1990), by one integer division
-for a rational.  Identical inputs always produce identical bytes.  `csv`
-and `json` are imported only where they are used, so a CSV command loads
-neither.
+for a rational.  Identical inputs always produce identical bytes.
+
+Every table is a `Table` of cell tuples, which `write_csv` and `write_json`
+write row by row as the rows come, so a trajectory goes from the walk to the
+bytes one point at a time.  `csv` and `json` are imported only where they
+are used: a CSV command loads neither, and JSON output loads `json` only for
+a float.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
-from typing import IO
+from typing import IO, NamedTuple
 
 from .core import Range, Stage, UNBOUNDED, _coprime
 from .errors import DomainError
@@ -141,6 +146,17 @@ def format_sig12(value) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
+class Table(NamedTuple):
+    """A header and its rows, each a tuple of cells (str, int, bool or None).
+
+    `write_csv` writes it as lines and `write_json` as a list of objects, each
+    row as it comes, so ``rows`` may be a one-pass iterator.
+    """
+
+    columns: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -149,18 +165,19 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(rows: list[dict], stream: IO[str]) -> None:
-    """Write a table of row dicts; the keys of the first row are the header.
+def write_csv(table: Table, stream: IO[str]) -> None:
+    """Write the header line, then each row's cells joined with commas.
 
-    Each row is joined with commas and written as it comes.  A row that
-    `csv.writer` would quote or reject goes through it, so the bytes are its.
+    A line that `csv.writer` would quote or reject goes through it, so the
+    bytes are its.
     """
-    columns = list(rows[0])
-    for cells in chain([columns], ([_cell(row[col]) for col in columns] for row in rows)):
+    width = len(table.columns)
+    lines = ([v if type(v) is str else _cell(v) for v in row] for row in table.rows)
+    for cells in chain([table.columns], lines):
         line = ",".join(cells)
         # quotes, line breaks, NUL (3.10 rejects it), a stray comma, one empty cell
         if '"' in line or "\n" in line or "\r" in line or "\0" in line or (
-            line.count(",") != len(columns) - 1 or not line
+            line.count(",") != width - 1 or not line
         ):
             import csv
 
@@ -170,46 +187,97 @@ def write_csv(rows: list[dict], stream: IO[str]) -> None:
 
 
 def write_json(payload, stream: IO[str]) -> None:
-    import json
+    """Write ``payload`` as ``json.dump(payload, stream, indent=2)`` does, then a newline.
 
-    json.dump(payload, stream, indent=2)
+    A list may also be given as an iterator, and a `Table` stands for the list
+    of its rows as objects; each item is written as it comes.  Dict keys are
+    strs.  `json` encodes a str with its C encoder and an int with ``repr``,
+    as here, and is imported only for other scalars, such as floats: any
+    indent would send the whole payload through its pure-Python encoder.
+    """
+    from _json import encode_basestring_ascii as string  # what `json` uses, without `json`
+
+    literals = {True: "true", False: "false", None: "null"}
+
+    def scalar(value) -> str:
+        if type(value) is str:
+            return string(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        if value is None or type(value) is bool:
+            return literals[value]
+        import json
+
+        return json.dumps(value)
+
+    def items(values, indent: str, render) -> None:
+        """Write ``[...]``, each item at ``indent`` by ``render(item, indent)``."""
+        sep = "[\n" + indent
+        for item in values:
+            stream.write(sep)
+            render(item, indent)
+            sep = ",\n" + indent
+        stream.write("[]" if sep.startswith("[") else "\n" + indent[:-2] + "]")
+
+    def write(value, indent: str) -> None:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            sep = "{\n" + inner
+            for key, item in value.items():
+                stream.write(sep + string(key) + ": ")  # a TypeError for a key that is no str
+                write(item, inner)
+                sep = ",\n" + inner
+            stream.write("{}" if sep.startswith("{") else "\n" + indent + "}")
+        elif isinstance(value, Table):  # one %-template for every row
+            fields = [f"\n{inner}  {string(c).replace('%', '%%')}: %s" for c in value.columns]
+            row = "{" + ",".join(fields) + f"\n{inner}}}" if fields else "{}"
+            items(value.rows, inner, lambda cells, _: stream.write(row % tuple(map(scalar, cells))))
+        elif isinstance(value, (list, tuple, Iterator)):
+            items(value, inner, write)
+        else:
+            stream.write(scalar(value))
+
+    write(payload, "")
     stream.write("\n")
 
 
 # -- trajectories ----------------------------------------------------------
 
-
-def _point_cells(exact, point) -> dict:
-    # exact cells render ``exact`` (empty when it is None), float cells ``point``
-    return {
-        "n": point.n,
-        "variety_exact": None if exact is None else fraction_str(exact.variety),
-        "variety_float": format_sig12(point.variety),
-        "avg_length_exact": None if exact is None else fraction_str(exact.avg_length),
-        "avg_length_float": format_sig12(point.avg_length),
-    }
+_POINT_COLUMNS = ("n", "variety_exact", "variety_float", "avg_length_exact", "avg_length_float")
+_TRAJECTORY_COLUMNS = (*_POINT_COLUMNS, "delta_variety_float", "stage", "constrained", "hump")
 
 
-def trajectory_rows(points, float_points=None) -> list[dict]:
-    """Row dicts for the trajectory table.
+def _point_cells(exact, point) -> tuple:
+    # exact cells render the point ``exact`` (empty when it is None), float cells ``point``
+    n, variety, avg_length, *_ = point
+    exact_variety, exact_avg = (None, None) if exact is None else map(fraction_str, exact[1:3])
+    return n, exact_variety, format_sig12(variety), exact_avg, format_sig12(avg_length)
 
-    ``points`` give the stage columns, and the exact columns when their values
-    are `Fraction`s (else those are empty).  The float columns render
-    ``float_points`` when given, one per point, else ``points``.
+
+def _trajectory_cells(points, float_points):
+    if float_points is None:
+        pairs = ((point, point) for point in points)
+    else:
+        pairs = zip(points, float_points, strict=True)
+    for base, floats in pairs:
+        _, variety, _, _, stage, constrained = base
+        exact = base if isinstance(variety, Fraction) else None
+        yield (*_point_cells(exact, floats), format_sig12(floats[3]), stage.value, constrained,
+               stage is Stage.DEVELOPED)
+
+
+def trajectory_rows(points, float_points=None) -> Table:
+    """The trajectory table, one row per point as it comes.
+
+    ``points`` (`TrajectoryPoint`s or the same fields as plain tuples) give the
+    stage columns, and the exact columns when their values are `Fraction`s
+    (else those are empty).  The float columns render ``float_points`` when
+    given, one per point, else ``points``.
     """
-    return [
-        {
-            **_point_cells(base if isinstance(base.variety, Fraction) else None, fp),
-            "delta_variety_float": format_sig12(fp.delta_variety),
-            "stage": base.stage.value,
-            "constrained": base.constrained,
-            "hump": base.stage is Stage.DEVELOPED,
-        }
-        for base, fp in zip(points, points if float_points is None else float_points, strict=True)
-    ]
+    return Table(_TRAJECTORY_COLUMNS, _trajectory_cells(points, float_points))
 
 
-def trajectory_json_payload(params, rows: list[dict], trajectory=None) -> dict:
+def trajectory_json_payload(params, rows: Table, trajectory=None) -> dict:
     payload = {
         "params": {
             "rho": fraction_str(params.rho),
@@ -265,21 +333,24 @@ def read_trajectory_json(stream: IO[str]) -> dict:
 # -- sweeps ----------------------------------------------------------------
 
 
-def sweep_rows(trajectories) -> list[dict]:
-    return [
-        {"r": range_str(traj.params.r), **row}
+def sweep_rows(trajectories) -> Table:
+    """The trajectory tables one after another, each row led by its range."""
+    rows = (
+        (r, *cells)
         for traj in trajectories
-        for row in trajectory_rows(traj.points)
-    ]
+        for r in [range_str(traj.params.r)]
+        for cells in _trajectory_cells(traj.points, None)
+    )
+    return Table(("r", *_TRAJECTORY_COLUMNS), rows)
 
 
 def sweep_json_payload(rho: Fraction, trajectories) -> dict:
     return {
         "rho": fraction_str(rho),
-        "trajectories": [
+        "trajectories": (
             trajectory_json_payload(traj.params, trajectory_rows(traj.points), traj)
             for traj in trajectories
-        ],
+        ),
     }
 
 
@@ -298,20 +369,17 @@ def _marker_target(name: str, fig: FigureData) -> str:
     return fig.series[0].name
 
 
-def figure_rows(fig: FigureData) -> list[dict]:
+def figure_rows(fig: FigureData) -> Table:
     marker_at: dict[tuple[str, int], list[str]] = {}
     for name, n in fig.markers.items():
         marker_at.setdefault((_marker_target(name, fig), n), []).append(name)
-    return [
-        {
-            "figure": fig.figure_id,
-            "series": series.name,
-            **_point_cells(point, point),
-            "marker": ";".join(marker_at.get((series.name, point.n), [])),
-        }
+    rows = [
+        (fig.figure_id, series.name, *_point_cells(point, point),
+         ";".join(marker_at.get((series.name, point.n), [])))
         for series in fig.series
         for point in series.points
     ]
+    return Table(("figure", "series", *_POINT_COLUMNS, "marker"), rows)
 
 
 def figure_json_payload(fig: FigureData) -> dict:
@@ -323,7 +391,7 @@ def figure_json_payload(fig: FigureData) -> dict:
             {
                 "name": series.name,
                 "r": range_str(series.r),
-                "points": [_point_cells(point, point) for point in series.points],
+                "points": Table(_POINT_COLUMNS, [_point_cells(pt, pt) for pt in series.points]),
             }
             for series in fig.series
         ],
@@ -333,7 +401,7 @@ def figure_json_payload(fig: FigureData) -> dict:
 # -- oracle reports --------------------------------------------------------
 
 
-def oracle_rows(report) -> list[dict]:
+def oracle_rows(report) -> Table:
     stats = [
         (f"length_{s}", report.per_length_expected[s], report.per_length_empirical[s],
          report.per_length_zscores[s])
@@ -343,11 +411,11 @@ def oracle_rows(report) -> list[dict]:
                   report.variety_zscore))
     stats.append(("avg_length", report.expected_avg_length, report.empirical_avg_length,
                   report.avg_length_zscore))
-    return [
-        {"stat": stat, "expected": format_sig12(expected),
-         "empirical": format_sig12(empirical), "zscore": format_sig12(zscore)}
+    rows = [
+        (stat, format_sig12(expected), format_sig12(empirical), format_sig12(zscore))
         for stat, expected, empirical, zscore in stats
     ]
+    return Table(("stat", "expected", "empirical", "zscore"), rows)
 
 
 def oracle_json_payload(report) -> dict:
@@ -365,18 +433,13 @@ def oracle_json_payload(report) -> dict:
 # -- cross-backend validation ----------------------------------------------
 
 
-def validate_rows(checks) -> list[dict]:
-    return [
-        {
-            "n": check.n,
-            "r": range_str(check.r),
-            "rho": fraction_str(check.rho),
-            "variety_rel_dev": format_sig12(check.variety_rel_dev),
-            "avg_length_rel_dev": format_sig12(check.avg_length_rel_dev),
-            "ok": check.ok,
-        }
+def validate_rows(checks) -> Table:
+    rows = [
+        (check.n, range_str(check.r), fraction_str(check.rho), format_sig12(check.variety_rel_dev),
+         format_sig12(check.avg_length_rel_dev), check.ok)
         for check in checks
     ]
+    return Table(("n", "r", "rho", "variety_rel_dev", "avg_length_rel_dev", "ok"), rows)
 
 
 def validate_json_payload(checks, tol: float) -> dict:
@@ -391,5 +454,5 @@ def validate_json_payload(checks, tol: float) -> dict:
 
 
 def hump_payload(rho: Fraction, r: int, n_max: int, onset: int | None) -> dict:
-    """The hump table's one row: CSV writes it as a table, JSON as an object."""
+    """The hump table's one row: CSV writes it as a `Table`, JSON as an object."""
     return {"rho": fraction_str(rho), "r": r, "n_max": n_max, "onset": onset}

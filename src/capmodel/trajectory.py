@@ -17,6 +17,7 @@ point is DEVELOPED exactly where delta < 0); it stays in the result and JSON.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -28,10 +29,10 @@ from .core import (
     Stage,
     UNBOUNDED,
     _check_count,
+    _check_point,
     _check_range,
     _hump,
-    _window_sums,
-    _WindowSums,
+    _points,
     checked_rho,
 )
 from .errors import DomainError
@@ -67,22 +68,29 @@ def default_n_max(r: Range) -> int:
     return 50 if r is UNBOUNDED else max(3 * r, 50)
 
 
-def _point(sums: _WindowSums, n: int, hump: bool) -> TrajectoryPoint:
-    """The point at ``n``: it reads the window sums at n - 1 and n, in that order."""
-    return TrajectoryPoint(
-        n=n,
-        avg_length=sums.avg_length(n),
-        variety=sums.variety(n),
-        delta_variety=sums.delta(n),
-        stage=sums.stage(n, hump),
-        constrained=sums.binds(n),
-    )
+def _walk(params: ModelParams, first: int, last: int, name: str = "n_max") -> Trajectory:
+    """The trajectory over n = first..last, its points a one-pass stream of plain
+    tuples: `run_trajectory` collects them, and the CLI renders each as it comes.
+
+    Both landmarks come before the walk: the range binds from r + 1 on, and,
+    by the theorem, the hump holds from the first n in first..last at which
+    it holds, which one bisection finds.
+    """
+    _check_point(last, params, name)
+    r, rho = params.r, params.rho
+    binds = r is not UNBOUNDED and r < last
+    onset = _first_hump(max(first, r + 1), last, r, rho) if binds else None
+    points = _points(params, first, last, onset)
+    return Trajectory(params, points, r + 1 if binds else None, onset, non_monotone_flag=False)
+
+
+def _collected(walk: Trajectory) -> Trajectory:
+    return walk._replace(points=tuple(map(TrajectoryPoint._make, walk.points)))
 
 
 def evaluate_point(params: ModelParams, n: int) -> TrajectoryPoint:
     """All per-n quantities for one point; one `_hump` test decides its stage."""
-    sums = _window_sums(n, params)
-    return _point(sums, n, sums.hump(n))
+    return TrajectoryPoint._make(next(_walk(params, n, n, "n").points))
 
 
 def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
@@ -91,13 +99,17 @@ def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
     Both landmarks come before the walk: the range binds from r + 1 on, and the
     hump holds from `find_hump_onset`'s bisected onset on, by the theorem.
     """
-    if n_max is None:
-        n_max = default_n_max(params.r)
-    sums, r = _window_sums(n_max, params, "n_max"), params.r
-    binds = sums.binds(n_max)
-    onset = find_hump_onset(r, params.rho, n_max) if binds else None
-    points = tuple(_point(sums, n, onset is not None and n >= onset) for n in range(n_max + 1))
-    return Trajectory(params, points, r + 1 if binds else None, onset, non_monotone_flag=False)
+    return _collected(_walk(params, 0, default_n_max(params.r) if n_max is None else n_max))
+
+
+def _first_hump(lo: int, last: int, r: int, rho: Fraction) -> int | None:
+    """The smallest n in lo..last (lo > r) at which `core._hump` holds, or None."""
+    p, q = rho.numerator, rho.denominator
+    hi = last + 1  # plain ints: bisect over a range overflows past sys.maxsize
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _hump(mid, r, p, q) else (mid + 1, hi)
+    return lo if lo <= last else None
 
 
 def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
@@ -114,12 +126,17 @@ def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     _check_count(n_max, "n_max")
     if n_max < r + 1:
         raise DomainError(f"n_max must be at least r + 1 = {r + 1}, got {n_max!r}")
-    p, q = rho.numerator, rho.denominator
-    lo, hi = r + 1, n_max + 1  # plain ints: bisect over a range overflows past sys.maxsize
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _hump(mid, r, p, q) else (mid + 1, hi)
-    return lo if lo <= n_max else None
+    return _first_hump(r + 1, n_max, r, rho)
+
+
+def _sweep(rho: Rational, r_values: list[int], n_max: int | None, backend: str) -> list[Trajectory]:
+    """`sweep_range`, each trajectory's points a one-pass stream (see `_walk`)."""
+    if not isinstance(r_values, (list, tuple)) or not r_values:
+        raise DomainError(f"r_values must be a nonempty list of ranges, got {r_values!r}")
+    rho = checked_rho(rho)
+    if n_max is None:
+        n_max = max(default_n_max(r) for r in r_values)
+    return [_walk(ModelParams(rho, r, backend), 0, n_max) for r in r_values]
 
 
 def sweep_range(
@@ -129,12 +146,7 @@ def sweep_range(
     backend: str = EXACT,
 ) -> list[Trajectory]:
     """One trajectory per product range, all over the same n axis."""
-    if not isinstance(r_values, (list, tuple)) or not r_values:
-        raise DomainError(f"r_values must be a nonempty list of ranges, got {r_values!r}")
-    rho = checked_rho(rho)
-    if n_max is None:
-        n_max = max(default_n_max(r) for r in r_values)
-    return [run_trajectory(ModelParams(rho, r, backend), n_max) for r in r_values]
+    return [_collected(walk) for walk in _sweep(rho, r_values, n_max, backend)]
 
 
 def hump_onsets_nondecreasing(trajectories: list[Trajectory]) -> bool:

@@ -288,6 +288,25 @@ class TestCommands:
             "3,8/1,8.00000000000,3/2,1.50000000000,8.00000000000,developing,false,false"
         )
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trajectory_streams_its_rows(self, tmp_path, fmt):
+        # each row is written as the walk yields its point, so the traced peak
+        # stays far below the output (515 kB of CSV), which a table held whole
+        # would exceed several times over; a first, untraced run pays for the
+        # imports and fills the interpreter's free lists
+        import tracemalloc
+
+        out = tmp_path / f"traj.{fmt}"
+        args = ["trajectory", "--rho", "1/2", "--r", "30", "--n-max", "1200", "--format", fmt]
+        assert run_cli([*args, "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli([*args, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**17 < out.stat().st_size / 3
+
     def test_trajectory_n_max_zero(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert run_cli(["trajectory", "--rho", "1", "--n-max", "0", "--out", str(out)]) == 0
@@ -328,7 +347,7 @@ class TestCommands:
         def counting_stream(backend, terms):
             def stream(*args):
                 opened.append(backend)
-                return ((drawn.append(backend) or s, last) for s, last in terms(*args))
+                return (drawn.append(backend) or term for term in terms(*args))
 
             return stream
 

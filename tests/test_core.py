@@ -189,9 +189,8 @@ class TestHumpCondition:
         for rho in rhos:
             p, q = rho.numerator, rho.denominator
             for r in range(30):
-                sums = core._WindowSums(cm.ModelParams(rho, r))
-                for n in range(r + 1, r + 90):
-                    window_sum, last_term = sums.term(n)
+                terms = core._exact_terms(r + 1, r, p, q)
+                for n, (window_sum, last_term, *_) in zip(range(r + 1, r + 90), terms):
                     declines = p * window_sum < last_term
                     assert core._hump(n, r, p, q) is declines, (rho, r, n)
                     points += 1
@@ -208,6 +207,7 @@ class TestHumpCondition:
 
         monkeypatch.setattr(core, "_exact_terms", refuse_walk)
         monkeypatch.setattr(core, "_log_terms", refuse_walk)
+        monkeypatch.setattr(core, "_points", refuse_walk)
         monkeypatch.setattr(core, "_log_window_sum", refuse)
         for backend in (EXACT, LOGFLOAT):
             assert cm.hump_condition(99997, "1/2", 50000, backend) is False
@@ -319,6 +319,35 @@ class TestLowestTerms:
                 for value in (point.variety, point.delta_variety):
                     assert math.gcd(value.numerator, value.denominator) == 1, (rho, r, point.n)
                     assert value.denominator > 0
+
+    @pytest.mark.parametrize("rho", [HALF, Fraction(1), Fraction(3, 4), Fraction(9, 10)])
+    @pytest.mark.parametrize("r", [0, 1, 7, 40, 47, UNBOUNDED])
+    def test_p_free_walk_reproduces_the_window_sums(self, rho, r):
+        # N_n = p**max(0, n-r) * M_n against the direct sum, and the average length
+        # reduced by a gcd of p-free terms against Fraction(n * p * N_{n-1}, N_n);
+        # r = 0 starts b at n = 0, and from r = n_max = 40 on the range never binds
+        started = time.perf_counter()
+        n_max, p, q = 40, rho.numerator, rho.denominator
+        bound = n_max + 1 if r is UNBOUNDED else r
+        sums = [
+            sum(math.comb(n, s) * p**s * q ** (n - s) for s in range(max(0, n - bound), n + 1))
+            for n in range(n_max + 1)
+        ]
+        points = core._points(cm.ModelParams(rho, r), 0, n_max)
+        walk = core._exact_terms(0, r, p, q)
+        for n, term, (_, variety, avg_length, *_) in zip(range(n_max + 1), walk, points):
+            window_sum, last_term, m, c = term
+            lift = p ** max(0, n - bound)
+            assert (window_sum, lift * m) == (sums[n], sums[n]), (n, r)
+            c_expected = math.comb(n, r) * q ** (r + 1) if n >= bound else 0
+            assert (c, last_term) == (c_expected, lift * c_expected), (n, r)
+            assert variety == Fraction(sums[n], q**n)
+            expected = Fraction(n * p * sums[n - 1], sums[n]) if n else Fraction(0)
+            assert (avg_length.numerator, avg_length.denominator) == (
+                expected.numerator, expected.denominator
+            ), (n, r)
+            assert next(core._exact_terms(n, r, p, q)) == term  # a walk opened at n
+        assert time.perf_counter() - started < 0.1
 
     def test_zero_delta_is_canonical(self):
         delta = cm.variety_delta(7, 1, 0)

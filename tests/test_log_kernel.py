@@ -24,19 +24,20 @@ from capmodel.trajectory import find_hump_onset, run_trajectory
 GATE = 1e-9
 
 
-def _exact_pair(sums: core._WindowSums, n: int) -> tuple[float, float]:
-    """The exact ``(log variety(n), w_n)``, from the walk's ``(N_n, b_n)``."""
-    window_sum, last_term = sums.term(n)
-    return math.log(window_sum) - n * math.log(sums.q), last_term / (sums.q * window_sum)
+def _exact_pair(term: tuple, n: int, q: int) -> tuple[float, float]:
+    """The exact ``(log variety(n), w_n)``, from the walk's ``(N_n, b_n)`` at n."""
+    window_sum, last_term, *_ = term
+    return math.log(window_sum) - n * math.log(q), last_term / (q * window_sum)
 
 
 @pytest.mark.parametrize("rho, r, n_max", [("3/4", 400, 1600), ("1/2", 30, 800)])
 def test_long_walk_matches_exact_terms(rho, r, n_max):
-    exact = core._WindowSums(ModelParams(rho, r, EXACT))
-    logged = core._WindowSums(ModelParams(rho, r, LOGFLOAT))
+    exact = core._terms(ModelParams(rho, r, EXACT), r)
+    logged = core._terms(ModelParams(rho, r, LOGFLOAT), r)
+    q = Fraction(rho).denominator
     worst_log = worst_share = 0.0
-    for n in range(r, n_max + 1):
-        (log_v, w), (exact_log_v, exact_w) = logged.term(n), _exact_pair(exact, n)
+    for n, term, (log_v, w) in zip(range(r, n_max + 1), exact, logged):
+        exact_log_v, exact_w = _exact_pair(term, n, q)
         worst_log = max(worst_log, abs(log_v - exact_log_v))
         worst_share = max(worst_share, abs(w / exact_w - 1))
     assert worst_log <= GATE
@@ -46,7 +47,7 @@ def test_long_walk_matches_exact_terms(rho, r, n_max):
 @pytest.mark.parametrize("rho, r", [("1/2", 400), ("1/10", 1000)])
 def test_single_point_at_n_100000(rho, r):
     n, p, q = 100_000, Fraction(rho).numerator, Fraction(rho).denominator
-    exact_log_v, exact_w = _exact_pair(core._WindowSums(ModelParams(rho, r, EXACT)), n)
+    exact_log_v, exact_w = _exact_pair(next(core._exact_terms(n, r, p, q)), n, q)
     log_v, w = core._log_window_sum(n, r, p, q)
     assert abs(log_v - exact_log_v) <= GATE
     assert abs(w / exact_w - 1) <= 1e-12
@@ -58,6 +59,23 @@ def test_converges_at_the_switch_point(n):
     # where the continued fraction is slowest; the window holds half of 2**n
     log_v, _ = core._log_window_sum(n, (n - 1) // 2, 1, 1)
     assert abs(log_v - (n - 1) * math.log(2)) <= GATE
+
+
+@pytest.mark.parametrize("n", [12, 1_001, 100_001])
+def test_complementary_windows_sum_to_2_to_the_n_at_rho_one(n):
+    # at rho = 1 the windows [n-r, n] and [r+1, n] are the two halves of row n of
+    # C(n, s) on either side of s = n-r-1/2, so variety(n, r) + variety(n, n-r-1)
+    # = 2**n; the log backend sums r < (n-1)/2 directly and r >= (n-1)/2 by its
+    # complement, so each pair sets the two branches against each other
+    started = time.perf_counter()
+    switch = (n - 1) // 2
+    for r in (0, 1, switch - 1, switch, switch + 1, n - 2, n - 1):
+        other = n - r - 1
+        if n < 2_000:
+            assert cm.variety(n, 1, r) + cm.variety(n, 1, other) == 2**n, r
+        logs = (cm.variety(n, 1, k, LOGFLOAT).log_abs - n * math.log(2) for k in (r, other))
+        assert abs(sum(map(math.exp, logs)) - 1) <= GATE, r
+    assert time.perf_counter() - started < 0.1
 
 
 def test_switch_point_at_n_a_billion_is_fast():
@@ -193,8 +211,9 @@ def test_log_avg_length_lies_in_the_window_and_rises(n):
     for rho in ("1/2", "3/4", "1/10", "9/10", "1"):
         p, q = Fraction(rho).numerator, Fraction(rho).denominator
         for r in (10, 1000, n // 10, n // 3, n // 2, 2 * n // 3, n - 10):
-            sums = core._window_sums(n + 1, ModelParams(rho, r, LOGFLOAT))
-            now, after = sums.avg_length(n).log_abs, sums.avg_length(n + 1).log_abs
+            points = core._points(ModelParams(rho, r, LOGFLOAT), n, n + 1)
+            (_, _, now, *_), (_, _, after, *_) = points
+            now, after = now.log_abs, after.log_abs
             assert math.log(max(n - r, n * p / (p + q))) <= now < math.log(n), (rho, r)
             assert after > now, (rho, r)
     assert time.perf_counter() - started < 0.1
@@ -244,7 +263,7 @@ def test_a_point_reads_terms_n_minus_1_and_n_only(monkeypatch, tmp_path):
         return log_window_sum(*args)
 
     def counting(backend, terms):
-        return lambda *args: ((drawn.append(backend) or s, last) for s, last in terms(*args))
+        return lambda *args: (drawn.append(backend) or term for term in terms(*args))
 
     monkeypatch.setattr(core, "_log_window_sum", counting_sum)
     args = ["eval", "--rho", "1/2", "--r", "400", "--n", "1000", "--backend", "logfloat"]

@@ -2,13 +2,14 @@
 
 import csv
 import io
+import json
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal, MAX_EMAX, MIN_EMIN
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capmodel as cm
@@ -166,10 +167,18 @@ class TestFractionStrings:
             assert text == f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
-def _csv_text(rows):
+def _csv_text(table):
     buffer = io.StringIO()
-    ser.write_csv(rows, buffer)
+    ser.write_csv(table, buffer)
     return buffer.getvalue()
+
+
+def _table(rows: list[dict]) -> ser.Table:
+    return ser.Table(tuple(rows[0]), [tuple(row.values()) for row in rows])
+
+
+def _dicts(table: ser.Table) -> list[dict]:
+    return [dict(zip(table.columns, row, strict=True)) for row in table.rows]
 
 
 def _outcome(write, rows):
@@ -199,7 +208,69 @@ def test_write_csv_matches_csv_writer(cell, width):
         dict.fromkeys(columns, cell),
         {**dict.fromkeys(columns, 1), columns[0]: cell},
     ]
-    assert _outcome(ser.write_csv, rows) == _outcome(_csv_writer, rows)
+    write_table = lambda rows, stream: ser.write_csv(_table(rows), stream)  # noqa: E731
+    assert _outcome(write_table, rows) == _outcome(_csv_writer, rows)
+
+
+def _json_text(payload) -> str:
+    buffer = io.StringIO()
+    ser.write_json(payload, buffer)
+    return buffer.getvalue()
+
+
+def _streamed(value):
+    """``value`` with every list given as an iterator, as the CLI's payloads give rows."""
+    if isinstance(value, dict):
+        return {key: _streamed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return (_streamed(item) for item in value)
+    return value
+
+
+_JSON_PAYLOADS = [
+    {},
+    [],
+    {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]], [{}]]},
+    [{"n": 0, "cells": [None, True, False]}, {"n": -12, "cells": [{"deep": [1, [2, [3]]]}]}],
+    {"ints": [0, -1, 2**64, 10**40], "floats": [0.0, -0.0, 1.5, -2.5e-300, 1e300, 5e-324]},
+    {"specials": [float("inf"), float("-inf"), float("nan")]},
+    {'quote " slash \\ tab \t nl \n': ["\x00\x01\x1f\x7f", "back\\slash", "%s %d %%"]},
+    {"naïve": ["über", "—", "日本", "\U0001d518", "\ud800"]},
+    "just a string",
+    None,
+    [True, False, None, 0, "0"],
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda items: st.lists(items, max_size=4) | st.dictionaries(st.text(), items, max_size=4),
+    max_leaves=20,
+)
+
+
+@pytest.mark.parametrize("payload", _JSON_PAYLOADS)
+def test_write_json_matches_json_dumps(payload):
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert _json_text(payload) == expected
+    assert _json_text(_streamed(payload)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_write_json_matches_json_dumps_on_any_payload(payload):
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert _json_text(payload) == expected
+    assert _json_text(_streamed(payload)) == expected
+
+
+def test_write_json_renders_a_table_as_its_rows_as_objects():
+    columns = ("n", "text", "flag", "empty", "50% off")
+    rows = [(0, "a", True, None, "x"), (1, 'say "hi"\n', False, None, "%s")]
+    payload = {"table": ser.Table(columns, iter(rows)), "empty": ser.Table(columns, iter([]))}
+    expected = {"table": [dict(zip(columns, row)) for row in rows], "empty": []}
+    assert _json_text(payload) == json.dumps(expected, indent=2) + "\n"
+    with pytest.raises(TypeError):  # json.dumps would write the key as "1"
+        _json_text({1: "one"})
 
 
 _TRAJECTORY_HEADER = (
@@ -276,28 +347,28 @@ class TestTrajectorySerialization:
 
     def test_log_backend_leaves_exact_columns_empty(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=6)
-        rows = ser.trajectory_rows(traj.points)
-        assert rows[0]["variety_exact"] is None
-        text = _csv_text(rows)
+        assert _dicts(ser.trajectory_rows(traj.points))[0]["variety_exact"] is None
+        text = _csv_text(ser.trajectory_rows(traj.points))
         assert text.splitlines()[1].split(",")[1] == ""
 
     def test_both_backends_zip_into_one_table(self):
         exact = cm.run_trajectory(ModelParams("0.5", 4), n_max=6)
         logged = cm.run_trajectory(ModelParams("0.5", 4, LOGFLOAT), n_max=6)
-        rows = ser.trajectory_rows(exact.points, logged.points)
+        rows = _dicts(ser.trajectory_rows(exact.points, logged.points))
         assert rows[3]["variety_exact"] == ser.fraction_str(exact.points[3].variety)
         assert rows[3]["variety_float"] == ser.format_sig12(logged.points[3].variety)
 
     def test_deterministic_bytes(self):
         traj = cm.run_trajectory(ModelParams("0.5", 4), n_max=10)
-        rows = ser.trajectory_rows(traj.points)
-        assert _csv_text(rows) == _csv_text(rows)
+        # a table's rows are read once, so each text renders a table of its own
+        first, second = ser.trajectory_rows(traj.points), ser.trajectory_rows(traj.points)
+        assert _csv_text(first) == _csv_text(second)
 
 
 class TestFigureSerialization:
     def test_rows_carry_markers(self):
         fig = cm.figure_dataset(2, n_max=70)
-        rows = ser.figure_rows(fig)
+        rows = _dicts(ser.figure_rows(fig))
         marked = {row["marker"] for row in rows if row["marker"]}
         assert marked == {"constrained_from", "hump_onset"}
         onset_rows = [row for row in rows if row["marker"] == "hump_onset"]
@@ -306,12 +377,13 @@ class TestFigureSerialization:
         assert onset_rows[0]["n"] == cm.find_hump_onset(30, Fraction(1, 2), 70)
         # with no bounded series, a marker goes on the first series
         only = cm.FigureData(2, fig.rho, fig.series[:1], {"constrained_from": 3})
-        marked = [(row["series"], row["n"]) for row in ser.figure_rows(only) if row["marker"]]
+        rows = _dicts(ser.figure_rows(only))
+        marked = [(row["series"], row["n"]) for row in rows if row["marker"]]
         assert marked == [("unconstrained", 3)]
 
     def test_fig3_markers_attach_to_their_series(self):
         fig = cm.figure_dataset(3, n_max=70)
-        rows = ser.figure_rows(fig)
+        rows = _dicts(ser.figure_rows(fig))
         for row in rows:
             if row["marker"].startswith("hump_onset_r="):
                 assert row["series"] == row["marker"].removeprefix("hump_onset_")
@@ -320,7 +392,7 @@ class TestFigureSerialization:
         fig = cm.figure_dataset(1, n_max=10)
         payload = ser.figure_json_payload(fig)
         assert payload["markers"] == {"constrained_from": 6}
-        assert payload["series"][0]["points"][3]["variety_exact"] == "8/1"
+        assert _dicts(payload["series"][0]["points"])[3]["variety_exact"] == "8/1"
 
 
 def _points(backend):
@@ -354,16 +426,16 @@ _TABLES = {
         lambda: ser.validate_rows([cm.cross_validate(n, "1/2", 2) for n in range(5)]),
         "n,r,rho,variety_rel_dev,avg_length_rel_dev,ok",
     ),
-    "hump": (lambda: [ser.hump_payload(Fraction(1, 2), 3, 20, None)], "rho,r,n_max,onset"),
+    "hump": (lambda: _table([ser.hump_payload(Fraction(1, 2), 3, 20, None)]), "rho,r,n_max,onset"),
 }
 
 
 @pytest.mark.parametrize("table", sorted(_TABLES))
 def test_rows_share_one_key_tuple_and_the_readme_header(table):
     build, header = _TABLES[table]
-    rows = build()
+    rows = _dicts(build())
     assert len(rows) > 1 or table == "hump"
     assert {tuple(row) for row in rows} == {tuple(header.split(","))}
-    assert _csv_text(rows).splitlines()[0] == header
+    assert _csv_text(build()).splitlines()[0] == header
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert f"\n{header}\n" in readme
