@@ -41,8 +41,10 @@ from .core import (
     ModelParams,
     UNBOUNDED,
     _check_count,
+    _check_point,
     _check_positive,
     _cross_checks,
+    _points,
     checked_rho,
     cross_validate,
 )
@@ -50,9 +52,9 @@ from .errors import CapModelError, DomainError
 from .figures import FIGURE_IDS, figure_dataset
 from .oracle import MODES, validate_expectations
 from .trajectory import (
+    _last,
     _sweep,
     _walk,
-    default_n_max,
     find_hump_onset,
     hump_onsets_nondecreasing,
     sweep_range,
@@ -258,22 +260,25 @@ def _emit(config: RunConfig, rows, payload) -> None:
 def _cmd_points(config: RunConfig) -> int:
     """``eval`` (the point at n) or ``trajectory`` (n = 0..n-max), on one backend or both.
 
-    With both, the exact points give the exact cells, the stages and the
-    landmarks, and the log points give the float cells.
+    With both, one exact walk gives the exact cells, the stages and the
+    landmarks, and a bare log stream of the same points gives the float cells;
+    its bound on n is checked first, before any exact work.
     """
     evaluates = config.command == "eval"
     if evaluates:
         first, last, name = config.n, config.n, "n"
     else:
-        n_max = default_n_max(config.r) if config.n_max is None else config.n_max
-        first, last, name = 0, n_max, "n_max"
-    backends = (EXACT, LOGFLOAT) if config.backend == BOTH else (config.backend,)
-    walks = [_walk(ModelParams(config.rho, config.r, b), first, last, name) for b in backends]
+        first, last, name = 0, _last(config.r, config.n_max), "n_max"
+    both = config.backend == BOTH
+    params = ModelParams(config.rho, config.r, EXACT if both else config.backend)
+    if both:
+        floats = params._replace(backend=LOGFLOAT)
+        _check_point(last, floats, name)
+    walk = _walk(params, first, last, name)
+    streams = (walk.points, _points(floats, first, last)) if both else (walk.points,)
     # a trajectory streams; an eval computes its point first, so its errors precede any output
-    streams = [list(walk.points) if evaluates else walk.points for walk in walks]
-    rows = serialize.trajectory_rows(*streams)
-    head = walks[0]
-    payload = serialize.trajectory_json_payload(head.params, rows, None if evaluates else head)
+    rows = serialize.trajectory_rows(*(map(list, streams) if evaluates else streams))
+    payload = serialize.trajectory_json_payload(params, rows, None if evaluates else walk)
     payload["params"]["backend"] = config.backend
     _emit(config, lambda: rows, lambda: payload)
     return 0

@@ -345,13 +345,6 @@ def _terms(params: ModelParams, k: int):
     return walk(k, params.r, params.rho.numerator, params.rho.denominator)
 
 
-def _log_delta(n: int, r: Range, p: int, q: int, log_v: float, w: float) -> LogScalar:
-    if r is UNBOUNDED or r > n:  # the range does not bind at n + 1
-        return LogScalar.from_log(_log_rho(p, q) + log_v)
-    share = p / q - w  # rho - w_n, whose sign is delta's; a zero share is a zero delta
-    return LogScalar((share > 0) - (share < 0), log_v + math.log(abs(share) or 1.0))
-
-
 def _stage(binds: bool, hump: bool) -> Stage:
     return Stage.DEVELOPED if hump else Stage.TRANSITIONING if binds else Stage.DEVELOPING
 
@@ -383,7 +376,12 @@ def _points(params: ModelParams, first: int, last: int, onset: int | None = None
             delta = _coprime(p * n_n - b_n, q_n)
         else:
             log_v, w = term
-            variety, delta = LogScalar.from_log(log_v), _log_delta(n, r, p, q, log_v, w)
+            variety = LogScalar.from_log(log_v)
+            if r is UNBOUNDED or r > n:  # the range does not bind at n + 1
+                delta = LogScalar.from_log(_log_rho(p, q) + log_v)
+            else:
+                share = p / q - w  # rho - w_n, whose sign is delta's; a zero share is a zero delta
+                delta = LogScalar((share > 0) - (share < 0), log_v + math.log(abs(share) or 1.0))
             if binds:
                 w_prev = prev[1]
                 if 2 * w_prev > 1 + p / q:  # 1 + rho - w_prev would cancel
@@ -416,12 +414,7 @@ def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -
     Unconstrained (``r`` is UNBOUNDED or ``r >= n``) this is
     ``(1 + rho) ** n``; a binding range keeps only lengths in ``[n - r, n]``.
     """
-    params = ModelParams(rho, r, backend)
-    _check_point(n, params)
-    head = next(_terms(params, n))[0]
-    if backend == EXACT:
-        return _coprime(head, params.rho.denominator**n)
-    return LogScalar.from_log(head)
+    return _point(n, ModelParams(rho, r, backend))[1]
 
 
 def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
@@ -436,13 +429,7 @@ def avg_length(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT
 
 def variety_delta(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
     """One growth step of variety, ``variety(n+1, r) - variety(n, r)`` (signed)."""
-    params = ModelParams(rho, r, backend)
-    _check_point(n, params)
-    p, q = params.rho.numerator, params.rho.denominator
-    head, last = next(_terms(params, n))[:2]
-    if backend == EXACT:
-        return _coprime(p * head - last, q ** (n + 1))
-    return _log_delta(n, params.r, p, q, head, last)
+    return _point(n, ModelParams(rho, r, backend))[3]
 
 
 def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> bool:

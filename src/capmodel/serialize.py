@@ -10,9 +10,9 @@ for a rational.  Identical inputs always produce identical bytes.
 
 Every table is a `Table` of cell tuples, which `write_csv` and `write_json`
 write row by row as the rows come, so a trajectory goes from the walk to the
-bytes one point at a time.  `csv` and `json` are imported only where they
-are used: a CSV command loads neither, and JSON output loads `json` only for
-a float.
+bytes one point at a time.  Both write the bytes of `csv` and `json` without
+importing either; only the readers `read_trajectory_csv` and
+`read_trajectory_json` import them.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def _cell(value) -> str:
 def write_csv(table: Table, stream: IO[str]) -> None:
     """Write the header line, then each row's cells joined with commas.
 
-    A line that `csv.writer` would quote or reject goes through it, so the
-    bytes are its.
+    These are the bytes of `csv.writer`, which quotes no cell a table emits.
+    A line it would quote or reject raises `ValueError`.
     """
     width = len(table.columns)
     lines = ([v if type(v) is str else _cell(v) for v in row] for row in table.rows)
@@ -179,11 +179,8 @@ def write_csv(table: Table, stream: IO[str]) -> None:
         if '"' in line or "\n" in line or "\r" in line or "\0" in line or (
             line.count(",") != width - 1 or not line
         ):
-            import csv
-
-            csv.writer(stream, lineterminator="\n").writerow(cells)
-        else:
-            stream.write(line + "\n")
+            raise ValueError(f"a CSV line would need quoting: {cells!r}")
+        stream.write(line + "\n")
 
 
 def write_json(payload, stream: IO[str]) -> None:
@@ -191,9 +188,10 @@ def write_json(payload, stream: IO[str]) -> None:
 
     A list may also be given as an iterator, and a `Table` stands for the list
     of its rows as objects; each item is written as it comes.  Dict keys are
-    strs.  `json` encodes a str with its C encoder and an int with ``repr``,
-    as here, and is imported only for other scalars, such as floats: any
-    indent would send the whole payload through its pure-Python encoder.
+    strs, and the scalars are those a table emits: str, int, bool and None.
+    `json` encodes a str with its C encoder and an int with ``repr``, as here;
+    any indent would send the whole payload through its pure-Python encoder.
+    Any other scalar, a float included, raises `TypeError`.
     """
     from _json import encode_basestring_ascii as string  # what `json` uses, without `json`
 
@@ -206,9 +204,7 @@ def write_json(payload, stream: IO[str]) -> None:
             return int.__repr__(value)
         if value is None or type(value) is bool:
             return literals[value]
-        import json
-
-        return json.dumps(value)
+        raise TypeError(f"cannot write a {type(value).__name__} as JSON")
 
     def items(values, indent: str, render) -> None:
         """Write ``[...]``, each item at ``indent`` by ``render(item, indent)``."""

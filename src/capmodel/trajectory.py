@@ -68,6 +68,11 @@ def default_n_max(r: Range) -> int:
     return 50 if r is UNBOUNDED else max(3 * r, 50)
 
 
+def _last(r: Range, n_max: int | None) -> int:
+    """``n_max``, or `default_n_max` for None: the last n of a trajectory."""
+    return default_n_max(r) if n_max is None else n_max
+
+
 def _walk(params: ModelParams, first: int, last: int, name: str = "n_max") -> Trajectory:
     """The trajectory over n = first..last, its points a one-pass stream of plain
     tuples: `run_trajectory` collects them, and the CLI renders each as it comes.
@@ -99,7 +104,7 @@ def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
     Both landmarks come before the walk: the range binds from r + 1 on, and the
     hump holds from `find_hump_onset`'s bisected onset on, by the theorem.
     """
-    return _collected(_walk(params, 0, default_n_max(params.r) if n_max is None else n_max))
+    return _collected(_walk(params, 0, _last(params.r, n_max)))
 
 
 def _first_hump(lo: int, last: int, r: int, rho: Fraction) -> int | None:

@@ -3,6 +3,7 @@
 import csv
 import decimal
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -461,6 +462,21 @@ class TestCommands:
         with open(out, newline="") as fh:
             [row] = read_trajectory_csv(fh)
         assert row["variety_exact"] == Fraction(1999, 1000) ** 1500
+
+    def test_streamed_trajectory_bytes_do_not_depend_on_the_int_digit_limit(self, tmp_path):
+        # cells of up to about 1,935 digits, so at CPython's smallest limit
+        # every streamed row goes through serialize._int_str's split path
+        args = ["trajectory", "--rho", "9/10", "--r", "400", "--n-max", "1600", "--out"]
+        assert run_cli([*args, str(tmp_path / "default.csv")]) == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run_cli([*args, str(tmp_path / "limited.csv")]) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        limited = (tmp_path / "limited.csv").read_bytes()
+        assert limited == (tmp_path / "default.csv").read_bytes()
+        assert max(map(len, limited.split(b","))) > 1900
 
     def test_subnormal_log_values_keep_their_digits(self, tmp_path):
         # variety is about 3.1e-316 here, a subnormal double with ~24 bits

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import capmodel as cm
-from capmodel import EXACT, LOGFLOAT, DomainError, ModelParams, ResourceLimitError, core
+from capmodel import EXACT, LOGFLOAT, DomainError, ModelParams, ResourceLimitError, core, trajectory
 from capmodel.cli import main
 from capmodel.trajectory import find_hump_onset, run_trajectory
 
@@ -179,6 +179,28 @@ def test_n_past_the_limit_is_a_domain_error(capsys):
     )
 
 
+def test_both_backends_reject_n_past_the_log_limit_before_any_exact_work(monkeypatch, capsys):
+    # with --backend both the log bound on n is checked before the exact walk
+    # opens, or an unbounded eval would compute 3**(10**301) first
+    def refuse(*args):
+        raise AssertionError("exact work before the log bound was checked")
+
+    monkeypatch.setattr(core, "_exact_terms", refuse)
+    monkeypatch.setattr(trajectory, "_hump", refuse)
+    n = str(10**301)
+    for args, name in (
+        (["eval", "--rho", "1/2", "--n", n], "n"),
+        (["trajectory", "--rho", "1/2", "--r", "5", "--n-max", n], "n_max"),
+    ):
+        assert main([*args, "--backend", "both"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {name} must be at most 1e+300 on the logfloat backend,"
+            " got an integer of 1000 bits\n"
+        )
+
+
 def test_log_rho_near_one_has_no_cancellation():
     # log(999/1000) = -sum_k (1/1000)**k / k (Mercator); 12 terms leave < 1e-36
     series = -sum(Fraction(1, 1000**k * k) for k in range(1, 13))
@@ -220,8 +242,8 @@ def test_log_avg_length_lies_in_the_window_and_rises(n):
 
 
 def test_a_point_opens_its_stream_at_the_first_term_it_reads(monkeypatch):
-    # variety and delta read term n only; avg_length, a whole point and the
-    # oracle's expectations read n - 1 and then n
+    # every single-point reader, variety and delta included, opens one
+    # `_points` stream at n - 1 and reads n - 1 and then n; so do the oracle's expectations
     calls, opened = [], []
     log_window_sum, exact_terms = core._log_window_sum, core._exact_terms
 
@@ -235,19 +257,19 @@ def test_a_point_opens_its_stream_at_the_first_term_it_reads(monkeypatch):
 
     monkeypatch.setattr(core, "_log_window_sum", counting_sum)
     monkeypatch.setattr(core, "_exact_terms", opening)
-    readers = {
-        cm.variety: 0,
-        cm.variety_delta: 0,
-        cm.avg_length: 1,
-        lambda n, rho, r, backend: cm.evaluate_point(ModelParams(rho, r, backend), n): 1,
-    }
-    for read, back in readers.items():
+    readers = [
+        cm.variety,
+        cm.variety_delta,
+        cm.avg_length,
+        lambda n, rho, r, backend: cm.evaluate_point(ModelParams(rho, r, backend), n),
+    ]
+    for read in readers:
         calls.clear()
         opened.clear()
         read(5000, "1/2", 200, LOGFLOAT)
-        assert calls == list(range(5000 - back, 5001))
+        assert calls == [4999, 5000]
         read(300, "1/2", 200, EXACT)
-        assert opened == [300 - back]
+        assert opened == [299]
     opened.clear()
     cm.validate_expectations(12, "1/2", 4, trials=30)
     assert opened == [11]

@@ -6,7 +6,8 @@ interpreter shows that importing the package, and every command, ``oracle``'s
 sampling included, leaves numpy unloaded (the package has no runtime
 dependency) and loads neither `dataclasses` nor `inspect`, which the
 NamedTuple records and the flag table do without, and
-that a command loads `json` only for a config file, `csv` not at all, and, given
+that a command loads `json` only for a config file and `csv` not at all, whatever
+its output format (the writers import neither), and, given
 as ``--flag value`` pairs or ``--flag=value``, neither `argparse` nor the
 `gettext` and `locale` it brings.  A ``.pth`` file in site-packages may
 import modules before ``-c`` runs, so the guard compares with the modules
@@ -62,6 +63,10 @@ COMMANDS = [
     ["figures", "--id", "3"],
     ORACLE,
     pytest.param([*ORACLE, "--mode", "per-subset"], id="oracle-per-subset"),
+    pytest.param(
+        ["eval", "--rho", "1/2", "--r", "30", "--n", "58", "--backend", "both", "--format", "json"],
+        id="eval-json",
+    ),
 ]
 
 
@@ -85,8 +90,7 @@ def test_import_leaves_numpy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
 def test_command_runs_without_numpy(args, tmp_path):
-    # every command but hump writes CSV by default, and no output here needs quoting;
-    # hump's JSON holds no float, so it is written without `json`; plain pairs
+    # CSV or JSON, each table is written without `csv` or `json`; plain pairs
     # are read without argparse
     unused = {"csv", "json", "argparse", "gettext", "locale"}
     result = _python("-c", _probe(unused), *args, "--out", str(tmp_path / "out"), cwd=tmp_path)

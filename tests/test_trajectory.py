@@ -7,6 +7,7 @@ import pytest
 
 import capmodel as cm
 from capmodel import EXACT, LOGFLOAT, ModelParams, Stage, UNBOUNDED, core, trajectory
+from capmodel.cli import main
 
 HALF = Fraction(1, 2)
 
@@ -92,8 +93,9 @@ class TestRunTrajectory:
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0, f"grid took {elapsed:.2f}s, budget 2s"
 
-    def test_onset_bisected_once_per_trajectory(self, monkeypatch):
-        # the walk decides no stage itself: every _hump test is find_hump_onset's
+    def test_onset_bisected_once_per_trajectory(self, monkeypatch, tmp_path):
+        # the walk decides no stage itself: every _hump test is find_hump_onset's,
+        # and the CLI's --backend both bisects once, as --backend exact does
         calls, hump, onset = [], core._hump, cm.find_hump_onset(400, "3/4", 1600)
 
         def counting(*args):
@@ -104,6 +106,12 @@ class TestRunTrajectory:
         monkeypatch.setattr(trajectory, "_hump", counting)
         assert cm.run_trajectory(ModelParams("3/4", 400), 1600).hump_onset_at == onset
         assert 0 < len(calls) <= 12  # a test per binding point would make 1,200
+        tests = len(calls)
+        args = ["trajectory", "--rho", "3/4", "--r", "400", "--n-max", "1600"]
+        for backend in (EXACT, "both"):
+            calls.clear()
+            assert main([*args, "--backend", backend, "--out", str(tmp_path / "out.csv")]) == 0
+            assert len(calls) == tests, backend
 
     @pytest.mark.parametrize("n", [-1, True, False, 13, 2.0, "x", None])
     def test_point_rejects_anything_but_an_index(self, n):
