@@ -1,6 +1,7 @@
 """Command-line surface: argument/config parsing and dispatch.
 
-Every command is one row of `_COMMANDS`: its --help summary and its handler.
+Every command is one row of `_COMMANDS`: its --help summary and its handler,
+which returns one document that `run` alone writes, to ``--out`` or stdout.
 Every flag is one row of `_FLAGS`, which builds the parser and `RunConfig`,
 names the keys a ``--config`` JSON file may hold, and normalizes each value.
 Config values are merged below explicit flags; unknown keys are rejected,
@@ -19,8 +20,8 @@ starting with "-", is read straight from that command's rows; any other argv
 (``--help``, a misspelt command, an abbreviated flag, ``--n -1``, ``--``)
 goes to argparse, which is imported only then, builds one parser for every
 command, and writes every help and usage message.  `json` is imported only
-to read a config file, `trajectory`, `sweep` and `eval` write each row as
-the walk yields its point, and `entry_point` (``python -m capmodel`` and the
+to read a config file, `trajectory` and `sweep` write each row as the walk
+yields its point, and `entry_point` (``python -m capmodel`` and the
 ``capmodel`` script) ends the process without the interpreter's final sweep
 over live objects.
 """
@@ -41,7 +42,6 @@ from .core import (
     ModelParams,
     UNBOUNDED,
     _check_count,
-    _check_point,
     _check_positive,
     _cross_checks,
     _points,
@@ -56,7 +56,6 @@ from .trajectory import (
     _sweep,
     _walk,
     find_hump_onset,
-    hump_onsets_nondecreasing,
     sweep_range,
 )
 
@@ -243,105 +242,77 @@ def parse_config(argv=None) -> RunConfig:
 # -- dispatch ----------------------------------------------------------------
 
 
-def _emit(config: RunConfig, rows, payload) -> None:
-    """Write ``rows()`` as CSV or ``payload()`` as JSON to ``--out`` or stdout."""
-    path = config.out
-    to_file = path is not None and path != "-"
-    target = open(path, "w", encoding="utf-8", newline="") if to_file else nullcontext(sys.stdout)
-    with target as stream:
-        if config.format == "csv":
-            serialize.write_csv(rows(), stream)
-        else:
-            serialize.write_json(payload(), stream)
-    if to_file:
-        print(f"wrote {path}")
-
-
-def _cmd_points(config: RunConfig) -> int:
-    """``eval`` (the point at n) or ``trajectory`` (n = 0..n-max), on one backend or both.
-
-    With both, one exact walk gives the exact cells, the stages and the
-    landmarks, and a bare log stream of the same points gives the float cells;
-    its bound on n is checked first, before any exact work.
-    """
+def _cmd_points(config: RunConfig):
+    """``eval`` (the point at n) or ``trajectory`` (n = 0..n-max), on one backend or both,
+    where the checked log walk gives the float cells and the landmarks, and an
+    exact stream staged from its onset the exact cells and the stages."""
     evaluates = config.command == "eval"
     if evaluates:
         first, last, name = config.n, config.n, "n"
     else:
         first, last, name = 0, _last(config.r, config.n_max), "n_max"
     both = config.backend == BOTH
-    params = ModelParams(config.rho, config.r, EXACT if both else config.backend)
-    if both:
-        floats = params._replace(backend=LOGFLOAT)
-        _check_point(last, floats, name)
+    params = ModelParams(config.rho, config.r, LOGFLOAT if both else config.backend)
     walk = _walk(params, first, last, name)
-    streams = (walk.points, _points(floats, first, last)) if both else (walk.points,)
-    # a trajectory streams; an eval computes its point first, so its errors precede any output
-    rows = serialize.trajectory_rows(*(map(list, streams) if evaluates else streams))
-    payload = serialize.trajectory_json_payload(params, rows, None if evaluates else walk)
-    payload["params"]["backend"] = config.backend
-    _emit(config, lambda: rows, lambda: payload)
-    return 0
+    # a trajectory streams; an eval computes its point first, the log one before
+    # the exact one, so its errors precede any output and any exact work
+    collect = list if evaluates else iter
+    streams = (collect(walk.points),)
+    if both:
+        exact = _points(params._replace(backend=EXACT), first, last, walk.hump_onset_at)
+        streams = (collect(exact), *streams)
+    rows = serialize.trajectory_rows(*streams)
+    landmarks = None if evaluates else walk
+    return rows, serialize.trajectory_json_payload(params, rows, landmarks, config.backend), None, 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: RunConfig):
     trajectories = _sweep(config.rho, list(config.r_values), config.n_max, config.backend)
-    nondecreasing = hump_onsets_nondecreasing(trajectories)
-    _emit(config, lambda: serialize.sweep_rows(trajectories), lambda: {
-        **serialize.sweep_json_payload(config.rho, trajectories),
-        "hump_onsets_nondecreasing": nondecreasing,
-    })
-    print(f"hump onsets nondecreasing in r: {str(nondecreasing).lower()}")
-    return 0
+    payload = serialize.sweep_json_payload(config.rho, trajectories)
+    message = f"hump onsets nondecreasing in r: {str(payload['hump_onsets_nondecreasing']).lower()}"
+    return serialize.sweep_rows(trajectories), payload, message, 0
 
 
-def _cmd_hump(config: RunConfig) -> int:
+def _cmd_hump(config: RunConfig):
     if config.n_max < config.r + 1:
         raise DomainError(f"n-max: must be at least r + 1 = {config.r + 1}, got {config.n_max}")
     onset = find_hump_onset(config.r, config.rho, config.n_max)
     row = serialize.hump_payload(config.rho, config.r, config.n_max, onset)
-    _emit(config, lambda: serialize.Table(tuple(row), [tuple(row.values())]), lambda: row)
-    if onset is None:
-        print(f"hump onset: none within n <= {config.n_max}")
-    else:
-        print(f"hump onset: {onset}")
-    return 0
+    within = f"none within n <= {config.n_max}" if onset is None else onset
+    return serialize.hump_rows(row), row, f"hump onset: {within}", 0
 
 
-def _cmd_oracle(config: RunConfig) -> int:
+def _cmd_oracle(config: RunConfig):
     report = validate_expectations(
         config.n, config.rho, config.r, config.trials, config.seed, config.mode
     )
-    _emit(config, lambda: serialize.oracle_rows(report),
-          lambda: serialize.oracle_json_payload(report))
+    payload = serialize.oracle_json_payload(report)
     ok = report.within(config.z_max)
-    print(
-        f"max |z| = {report.max_abs_zscore:.3f} over {config.trials} trials "
-        f"(threshold {config.z_max}): {'OK' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
+    message = (f"max |z| = {report.max_abs_zscore:.3f} over {config.trials} trials "
+               f"(threshold {config.z_max}): {'OK' if ok else 'FAIL'}")
+    return payload["stats"], payload, message, 0 if ok else 1
 
 
-def _cmd_validate(config: RunConfig) -> int:
+def _cmd_validate(config: RunConfig):
     checks = _cross_checks(config.n_max, config.rho, config.r, config.tol)
-    _emit(config, lambda: serialize.validate_rows(checks),
-          lambda: serialize.validate_json_payload(checks, config.tol))
+    payload = serialize.validate_json_payload(checks, config.tol)
     worst = max(check.max_rel_dev for check in checks)
-    ok = all(check.ok for check in checks)
-    print(
-        f"cross-validated {len(checks)} points: max rel dev {worst:.3e} "
-        f"(tol {config.tol:g}): {'OK' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
+    ok = payload["all_ok"]
+    message = (f"cross-validated {len(checks)} points: max rel dev {worst:.3e} "
+               f"(tol {config.tol:g}): {'OK' if ok else 'FAIL'}")
+    return payload["checks"], payload, message, 0 if ok else 1
 
 
-def _cmd_figures(config: RunConfig) -> int:
+def _cmd_figures(config: RunConfig):
     dataset = figure_dataset(config.id, config.n_max)
-    _emit(config, lambda: serialize.figure_rows(dataset),
-          lambda: serialize.figure_json_payload(dataset))
-    return 0
+    return serialize.figure_rows(dataset), serialize.figure_json_payload(dataset), None, 0
 
 
+#: Every command: (help summary, handler).  A handler maps a `RunConfig` to
+#: ``(table, payload, message, code)``: the `serialize.Table` CSV writes, the
+#: JSON payload over the same rows, the line printed after the output (or
+#: None) and the exit code.  Both are built before `run` picks the format, so
+#: their rows are lazy or shared: only the format written renders its cells.
 _COMMANDS = {
     "eval": ("evaluate all closed forms at one (n, r, rho)", _cmd_points),
     "trajectory": ("evaluate n = 0..n-max and tag stages", _cmd_points),
@@ -396,7 +367,20 @@ RunConfig = namedtuple("RunConfig", ("command", *_KEYS), defaults=(None,) * len(
 
 
 def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command][1](config)
+    table, payload, message, code = _COMMANDS[config.command][1](config)
+    path = config.out
+    to_file = path is not None and path != "-"
+    target = open(path, "w", encoding="utf-8", newline="") if to_file else nullcontext(sys.stdout)
+    with target as stream:
+        if config.format == "csv":
+            serialize.write_csv(table, stream)
+        else:
+            serialize.write_json(payload, stream)
+    if to_file:
+        print(f"wrote {path}")
+    if message is not None:
+        print(message)
+    return code
 
 
 def main(argv=None) -> int:

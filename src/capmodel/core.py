@@ -494,20 +494,20 @@ def cross_validate(n: int, rho: Rational, r: Range = UNBOUNDED, tol: float = 1e-
 
     Report-only: deviations beyond ``tol`` flip ``ok`` but never raise.
     """
-    return _cross_checks(n, rho, r, tol, first=n)[0]
+    return _cross_checks(n, rho, r, tol, first=n, name="n")[0]
 
 
 def _cross_checks(
-    n_max: int, rho: Rational, r: Range, tol: float, first: int = 0
+    n_max: int, rho: Rational, r: Range, tol: float, first: int = 0, name: str = "n_max"
 ) -> list[CrossCheck]:
-    """`cross_validate` at every n = first..n_max, in one walk of each backend."""
+    """`cross_validate` at every n = first..n_max, log bound and log point before exact work."""
     _check_positive(tol, "tol")
-    params = ModelParams(rho, r)
-    _check_point(n_max, params)
-    exact = _points(params, first, n_max)
-    logged = _points(params._replace(backend=LOGFLOAT), first, n_max)
+    params = ModelParams(rho, r, LOGFLOAT)
+    _check_point(n_max, params, name)
+    logged = _points(params, first, n_max)
+    exact = _points(params._replace(backend=EXACT), first, n_max)
     checks = []
-    for (n, v_exact, a_exact, *_), (_, v_log, a_log, *_) in zip(exact, logged):
+    for (n, v_log, a_log, *_), (_, v_exact, a_exact, *_) in zip(logged, exact):
         deviations = _relative_deviation(v_exact, v_log), _relative_deviation(a_exact, a_log)
         fields = n, r, params.rho, tol, v_exact, v_log, a_exact, a_log, *deviations
         checks.append(CrossCheck(*fields))

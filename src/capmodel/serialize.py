@@ -29,6 +29,7 @@ from .core import Range, Stage, UNBOUNDED, _coprime
 from .errors import DomainError
 from .figures import FigureData
 from .scalars import LogScalar
+from .trajectory import hump_onsets_nondecreasing
 
 _LN10 = math.log(10.0)
 _LOG10_2 = math.log10(2.0)
@@ -273,12 +274,12 @@ def trajectory_rows(points, float_points=None) -> Table:
     return Table(_TRAJECTORY_COLUMNS, _trajectory_cells(points, float_points))
 
 
-def trajectory_json_payload(params, rows: Table, trajectory=None) -> dict:
+def trajectory_json_payload(params, rows: Table, trajectory=None, backend=None) -> dict:
     payload = {
         "params": {
             "rho": fraction_str(params.rho),
             "r": range_str(params.r),
-            "backend": params.backend,
+            "backend": backend or params.backend,
         },
         "points": rows,
     }
@@ -347,6 +348,7 @@ def sweep_json_payload(rho: Fraction, trajectories) -> dict:
             trajectory_json_payload(traj.params, trajectory_rows(traj.points), traj)
             for traj in trajectories
         ),
+        "hump_onsets_nondecreasing": hump_onsets_nondecreasing(trajectories),
     }
 
 
@@ -369,12 +371,12 @@ def figure_rows(fig: FigureData) -> Table:
     marker_at: dict[tuple[str, int], list[str]] = {}
     for name, n in fig.markers.items():
         marker_at.setdefault((_marker_target(name, fig), n), []).append(name)
-    rows = [
+    rows = (
         (fig.figure_id, series.name, *_point_cells(point, point),
          ";".join(marker_at.get((series.name, point.n), [])))
         for series in fig.series
         for point in series.points
-    ]
+    )
     return Table(("figure", "series", *_POINT_COLUMNS, "marker"), rows)
 
 
@@ -387,7 +389,7 @@ def figure_json_payload(fig: FigureData) -> dict:
             {
                 "name": series.name,
                 "r": range_str(series.r),
-                "points": Table(_POINT_COLUMNS, [_point_cells(pt, pt) for pt in series.points]),
+                "points": Table(_POINT_COLUMNS, (_point_cells(pt, pt) for pt in series.points)),
             }
             for series in fig.series
         ],
@@ -450,5 +452,9 @@ def validate_json_payload(checks, tol: float) -> dict:
 
 
 def hump_payload(rho: Fraction, r: int, n_max: int, onset: int | None) -> dict:
-    """The hump table's one row: CSV writes it as a `Table`, JSON as an object."""
+    """The hump table's one row: JSON writes it as an object, `hump_rows` as a `Table`."""
     return {"rho": fraction_str(rho), "r": r, "n_max": n_max, "onset": onset}
+
+
+def hump_rows(payload: dict) -> Table:
+    return Table(tuple(payload), [tuple(payload.values())])

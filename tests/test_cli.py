@@ -363,6 +363,49 @@ class TestCommands:
         # each stream yields every term of n = 0..600 once
         assert drawn.count("exact") == drawn.count("logfloat") == 601
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "args, renderer, per_row",
+        [
+            (["figures", "--id", "3", "--n-max", "40"], "_point_cells", 1),
+            (["trajectory", "--rho", "3/4", "--r", "12", "--n-max", "60", "--backend", "both"],
+             "_point_cells", 1),
+            (["sweep", "--rho", "1/2", "--r-values", "9,4", "--n-max", "30"], "_point_cells", 1),
+            (["oracle", "--n", "8", "--rho", "1/2", "--trials", "50"], "format_sig12", 3),
+            (["validate", "--rho", "1/2", "--r", "10", "--n-max", "30"], "format_sig12", 2),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_each_written_cell_is_rendered_once(
+        self, tmp_path, monkeypatch, args, renderer, per_row, fmt
+    ):
+        # a command builds its table and payload before `run` picks the format,
+        # so both must stay lazy: a row is rendered only as it is written
+        from capmodel import serialize
+
+        calls, render = [], getattr(serialize, renderer)
+
+        def counting(*cells):
+            calls.append(cells)
+            return render(*cells)
+
+        def rows(value, in_list=False):
+            # the objects in a list that hold no list or object: the JSON rows
+            if isinstance(value, list):
+                return sum(rows(item, True) for item in value)
+            if not isinstance(value, dict):
+                return 0
+            inner = [item for item in value.values() if isinstance(item, (dict, list))]
+            return sum(map(rows, inner)) if inner else int(in_list)
+
+        monkeypatch.setattr(serialize, renderer, counting)
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli([*args, "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        written = len(text.splitlines()) - 1 if fmt == "csv" else rows(json.loads(text))
+        # validate's payload also renders its one "tol" scalar, which CSV leaves out
+        assert len(calls) == per_row * written + (args[0] == "validate")
+
     def test_validate_fail_exit_one(self):
         # an absurd tolerance makes genuine rounding look like a failure
         code = run_cli(["validate", "--rho", "0.5", "--r", "20", "--n-max", "60",

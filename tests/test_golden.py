@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -155,15 +156,24 @@ def test_manifest_covers_the_command_list():
     assert [entry["args"] for entry in _entries()] == COMMANDS + BARE_COMMANDS
 
 
-def test_golden_outputs_reproduce_byte_for_byte(tmp_path):
+@pytest.mark.parametrize("digits", [None, 640], ids=["default", "640"])
+def test_golden_outputs_reproduce_byte_for_byte(tmp_path, digits):
+    # at CPython's smallest int-to-str limit, exact cells of up to 901 digits
+    # (39-eval.csv) go through serialize's split path and must not change
+    limit = sys.get_int_max_str_digits()
     started = time.perf_counter()
-    for entry in _entries():
-        file = entry["file"]
-        code, stdout, stderr = _run_entry(entry["args"], file, tmp_path, tmp_path)
-        recorded = (entry["exit"], entry["stdout"], entry["stderr"])
-        assert (code, stdout, stderr) == recorded, entry["args"]
-        if file is not None:
-            assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), entry["args"]
+    try:
+        sys.set_int_max_str_digits(digits or limit)
+        for entry in _entries():
+            file = entry["file"]
+            code, stdout, stderr = _run_entry(entry["args"], file, tmp_path, tmp_path)
+            recorded = (entry["exit"], entry["stdout"], entry["stderr"])
+            assert (code, stdout, stderr) == recorded, entry["args"]
+            if file is not None:
+                golden = (GOLDEN / file).read_bytes()
+                assert (tmp_path / file).read_bytes() == golden, entry["args"]
+    finally:
+        sys.set_int_max_str_digits(limit)
     elapsed = time.perf_counter() - started
     assert elapsed < BUDGET_S, f"golden commands took {elapsed:.2f}s, budget {BUDGET_S}s"
 

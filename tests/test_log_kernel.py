@@ -180,25 +180,35 @@ def test_n_past_the_limit_is_a_domain_error(capsys):
 
 
 def test_both_backends_reject_n_past_the_log_limit_before_any_exact_work(monkeypatch, capsys):
-    # with --backend both the log bound on n is checked before the exact walk
-    # opens, or an unbounded eval would compute 3**(10**301) first
+    # with --backend both, and in validate and cross_validate, the log bound on
+    # n is checked and the log point read before the exact walk opens, or an
+    # unbounded eval would compute 3**(10**301) first, and an eval at 2**53 + 1
+    # would walk 2**53 exact steps before the log point refused it
     def refuse(*args):
         raise AssertionError("exact work before the log bound was checked")
 
     monkeypatch.setattr(core, "_exact_terms", refuse)
     monkeypatch.setattr(trajectory, "_hump", refuse)
     n = str(10**301)
+    limit = " must be at most 1e+300 on the logfloat backend, got an integer of 1000 bits"
     for args, name in (
-        (["eval", "--rho", "1/2", "--n", n], "n"),
-        (["trajectory", "--rho", "1/2", "--r", "5", "--n-max", n], "n_max"),
+        (["eval", "--rho", "1/2", "--n", n, "--backend", "both"], "n"),
+        (["trajectory", "--rho", "1/2", "--r", "5", "--n-max", n, "--backend", "both"], "n_max"),
+        (["validate", "--rho", "1/2", "--r", "10", "--n-max", n], "n_max"),
     ):
-        assert main([*args, "--backend", "both"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {name} must be at most 1e+300 on the logfloat backend,"
-            " got an integer of 1000 bits\n"
-        )
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {name}{limit}\n")
+    with pytest.raises(DomainError) as raised:
+        cm.cross_validate(10**301, "1/2", 10)
+    assert str(raised.value).startswith("n" + limit)
+    # below the bound, the log point at 2**53 + 1 is refused after its one _hump test
+    monkeypatch.setattr(trajectory, "_hump", core._hump)
+    args = ["eval", "--rho", "1/2", "--r", "10", "--n", str(2**53 + 1), "--backend", "both"]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", (
+        "error: the logfloat backend cannot resolve this window sum at n of 54 bits:"
+        " a window sum needs n below 2**53\n"
+    ))
 
 
 def test_log_rho_near_one_has_no_cancellation():
