@@ -194,7 +194,7 @@ def _beta_cf(a: int, b: int, x: float) -> float:
     """
     tiny = 1e-300  # stands in for a zero denominator
     cap = 64 + math.isqrt(min(a + b, 2**40))
-    a, b = float(a), float(b)  # int products past 1e308 would not convert
+    a, b = float(a), float(b)  # exact for any n `_check_point` admits; loops in doubles
     c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
     d = 1.0 / (d if abs(d) > tiny else tiny)
     h = d
@@ -227,12 +227,9 @@ def _log_window_sum(n: int, width: int, p: int, q: int) -> tuple[float, float]:
     With ``x = rho / (1 + rho)``, ``a = n - width`` and ``b = width + 1``, the
     sum is ``(1 + rho)**n * I_x(a, b)``, the regularized incomplete beta
     function: one `_log_binomial` and one `_beta_cf`, whatever the width.
+    It needs ``n < 2**53``, so that ``a``, ``b`` and the branch test are exact
+    doubles; `_check_point` refuses a larger binding ``n`` before any stream opens.
     """
-    if n >= 2**53:  # a, b and the branch test below would no longer be exact doubles
-        raise DomainError(
-            f"the {LOGFLOAT} backend cannot resolve this window sum at n of {n.bit_length()}"
-            " bits: a window sum needs n below 2**53"
-        )
     log1p_rho = math.log1p(p / q)
     a, b = n - width, width + 1
     # (1 + rho)**n * x**a * (1-x)**b / (a * B(a, b)) = C(n, width) * rho**a / (1 + rho)
@@ -330,19 +327,20 @@ def _coprime(num: int, den: int) -> Fraction:
 
 
 def _check_point(n: int, params: ModelParams, name: str = "n") -> None:
-    """Check the last ``n`` a caller reads on the backend of ``params``."""
+    """Check the last ``n`` a caller reads, before any work.  This is the log
+    backend's domain: ``n <= 1e300`` keeps ``lgamma(n + 1)`` finite, and a binding
+    point (``r < n``) reads a window sum, which needs ``n < 2**53``."""
     _check_count(n, name)
     if params.backend == LOGFLOAT and n > _LOG_N_MAX:
         raise DomainError(
             f"{name} must be at most {_LOG_N_MAX:.0e} on the {LOGFLOAT} backend,"
             f" got an integer of {n.bit_length()} bits"
         )
-
-
-def _terms(params: ModelParams, k: int):
-    """The terms of ``params`` from ``k`` on: `_exact_terms` or `_log_terms`."""
-    walk = _exact_terms if params.backend == EXACT else _log_terms
-    return walk(k, params.r, params.rho.numerator, params.rho.denominator)
+    if params.backend == LOGFLOAT and n >= 2**53 and params.r is not UNBOUNDED and params.r < n:
+        raise DomainError(
+            f"the {LOGFLOAT} backend cannot resolve this window sum at n of {n.bit_length()}"
+            " bits: a window sum needs n below 2**53"
+        )
 
 
 def _stage(binds: bool, hump: bool) -> Stage:
@@ -352,14 +350,15 @@ def _stage(binds: bool, hump: bool) -> Stage:
 def _points(params: ModelParams, first: int, last: int, onset: int | None = None):
     """Yield ``(n, variety, avg_length, delta, stage, constrained)`` for n = first..last.
 
-    Each point is read off the terms n - 1 and n of one `_terms` stream, opened
-    at ``max(first - 1, 0)``, and no term past ``last`` is drawn.  The stage is
-    DEVELOPED from ``onset`` on, the first n at which the hump holds (None if
-    none does up to ``last``), so the walk makes no hump test.
+    Each point is read off the terms n - 1 and n of one `_exact_terms` or
+    `_log_terms` stream, opened at ``max(first - 1, 0)``, and no term past
+    ``last`` is drawn; callers check ``last`` with `_check_point` first.  The
+    stage is DEVELOPED from ``onset`` on, the first n at which the hump holds
+    (None if none does up to ``last``), so the walk makes no hump test.
     """
     r, p, q = params.r, params.rho.numerator, params.rho.denominator
     exact, developed_from = params.backend == EXACT, math.inf if onset is None else onset
-    terms = _terms(params, max(first - 1, 0))
+    terms = (_exact_terms if exact else _log_terms)(max(first - 1, 0), r, p, q)
     prev = next(terms) if first else None
     q_n = q**first if exact else None
     for n, term in zip(range(first, last + 1), terms):
@@ -403,7 +402,7 @@ def _point(n: int, params: ModelParams) -> tuple:
 
 
 def _hump_at(n: int, params: ModelParams) -> bool:
-    _check_point(n, params)
+    _check_point(n, params._replace(r=UNBOUNDED))  # the hump reads no window sum
     r, rho = params.r, params.rho
     return r is not UNBOUNDED and r < n and _hump(n, r, rho.numerator, rho.denominator)
 

@@ -159,6 +159,32 @@ class TestVarietyDelta:
         error = _log_minus_exact(logged, exact) / abs(exact)
         assert error <= 1e-11 + 1e-14 * conditioning, float(error)
 
+    def test_variety_and_complexity_part_ways_where_the_range_binds(self):
+        # variety(n+1)/variety(n) = 1 + rho - w_n, and the window's terms above its
+        # lowest fall off at least geometrically by x = r*rho/(n-r+1), so 1 - w_n is
+        # at most x/(1-x): variety shrinks by a factor near rho while the average
+        # length, a mean over lengths in [n - r, n], stays within r of n
+        started, points = time.perf_counter(), 0
+        for rho in (Fraction(1, 10), HALF, Fraction(3, 4), Fraction(1)):
+            for r in (0, 1, 5, 30):
+                for n in sorted({r + 1, 2 * r + 2, 100, 1000, 2000}):
+                    x = r * rho / (n - r + 1)
+                    if x >= 1:
+                        continue
+                    point = cm.evaluate_point(cm.ModelParams(rho, r), n)
+                    ratio = 1 + point.delta_variety / point.variety
+                    assert rho <= ratio <= rho + x / (1 - x), (rho, r, n)
+                    assert n - r <= point.avg_length <= n, (rho, r, n)
+                    points += 1
+        assert points == 73
+        assert time.perf_counter() - started < 0.5
+        # the point the README quotes
+        (_, v, a, *_), (_, v_next, a_next, *_) = core._points(cm.ModelParams(HALF, 30), 1000, 1001)
+        x = 30 * HALF / 971
+        assert round(float(v_next / v), 5) == 0.51544
+        assert round(float(HALF + x / (1 - x)), 5) == 0.51569
+        assert round(float(a_next - a), 5) == 0.99998
+
 
 class TestHumpCondition:
     def test_examples(self):

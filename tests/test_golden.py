@@ -101,6 +101,8 @@ BARE_COMMANDS = [
     ["oracle", "--help"],
     ["validate", "--help"],
     ["figures", "--help"],
+    # a validate whose log window sums pass 2**53: refused before any point is walked
+    ["validate", "--rho", "1/2", "--r", "10", "--n-max", "9007199254740993"],
 ]
 
 

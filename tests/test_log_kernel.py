@@ -32,9 +32,8 @@ def _exact_pair(term: tuple, n: int, q: int) -> tuple[float, float]:
 
 @pytest.mark.parametrize("rho, r, n_max", [("3/4", 400, 1600), ("1/2", 30, 800)])
 def test_long_walk_matches_exact_terms(rho, r, n_max):
-    exact = core._terms(ModelParams(rho, r, EXACT), r)
-    logged = core._terms(ModelParams(rho, r, LOGFLOAT), r)
-    q = Fraction(rho).denominator
+    p, q = Fraction(rho).numerator, Fraction(rho).denominator
+    exact, logged = core._exact_terms(r, r, p, q), core._log_terms(r, r, p, q)
     worst_log = worst_share = 0.0
     for n, term, (log_v, w) in zip(range(r, n_max + 1), exact, logged):
         exact_log_v, exact_w = _exact_pair(term, n, q)
@@ -131,7 +130,7 @@ def test_window_sum_past_2_to_the_53_is_a_domain_error(capsys, monkeypatch):
     monkeypatch.setattr(core, "_beta_cf", lambda *args: pytest.fail("continued fraction"))
     monkeypatch.setattr(math, "lgamma", lambda value: pytest.fail("lgamma"))
     with pytest.raises(DomainError, match=message):
-        core._log_window_sum(2**53, 5, 1, 2)
+        cm.evaluate_point(ModelParams("1/2", 5, LOGFLOAT), 2**53)
     big = 10**100 + 1
     # the first two ran the fraction to its cap (about 1.3 s each), the third printed
     # -6.93e159 for a log whose ulp is about 1e144, the last raised after the complement
@@ -145,6 +144,63 @@ def test_window_sum_past_2_to_the_53_is_a_domain_error(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("error: the logfloat backend cannot resolve this window sum")
         assert len(captured.err.splitlines()) == 1
+
+
+PAST = 2**53 + 1
+WINDOW = ("the logfloat backend cannot resolve this window sum at n of 54 bits:"
+          " a window sum needs n below 2**53")
+
+
+def _command(*args):
+    def run(tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main([*args, "--rho", "1/2", "--n-max", str(PAST), "--out", str(out)])
+        assert (code, capsys.readouterr(), out.exists()) == (2, ("", f"error: {WINDOW}\n"), False)
+
+    return run
+
+
+def _raises(call, *args):
+    def run(tmp_path, capsys):
+        with pytest.raises(DomainError) as raised:
+            call(*args)
+        assert str(raised.value) == WINDOW
+
+    return run
+
+
+def _unchanged(tmp_path, capsys):
+    # the hump and the unbounded closed form read no window sum: they keep n up to 1e300
+    n = 2**53 + 5
+    for function in (cm.hump_condition, cm.classify_stage):
+        assert function(n, "1/2", 5, LOGFLOAT) == function(n, "1/2", 5, EXACT)
+    log_v = cm.variety(2**60, "1/2", 2**61, LOGFLOAT).log_abs
+    assert log_v == pytest.approx(2**60 * math.log(1.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("run", [
+    _command("validate", "--r", "10"),
+    _command("trajectory", "--r", "10", "--backend", "logfloat"),
+    _command("trajectory", "--r", "10", "--backend", "both"),
+    _command("sweep", "--r-values", "10", "--backend", "logfloat"),
+    _raises(run_trajectory, ModelParams("1/2", 10, LOGFLOAT), PAST),
+    _raises(cm.sweep_range, "1/2", [10], PAST, LOGFLOAT),
+    _raises(cm.evaluate_point, ModelParams("1/2", 10, LOGFLOAT), PAST),
+    _raises(cm.cross_validate, PAST, "1/2", 10),
+    _unchanged,
+], ids=["validate", "trajectory-logfloat", "trajectory-both", "sweep-logfloat", "run_trajectory",
+        "sweep_range", "evaluate_point", "cross_validate", "hump-and-unbounded-unchanged"])
+def test_a_window_past_2_to_the_53_is_refused_before_any_work(run, monkeypatch, capsys, tmp_path):
+    # `core._check_point` refuses a binding n >= 2**53 on its last point, before
+    # a stream opens: no row is written and no window sum or exact term computed
+    def refuse(*args):
+        raise AssertionError("work before the log backend's domain was checked")
+
+    monkeypatch.setattr(core, "_log_window_sum", refuse)
+    monkeypatch.setattr(core, "_exact_terms", refuse)
+    started = time.perf_counter()
+    run(tmp_path, capsys)
+    assert time.perf_counter() - started < 1
 
 
 def test_lgamma_calls_do_not_grow_with_the_window(monkeypatch):
