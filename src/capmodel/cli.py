@@ -14,16 +14,19 @@ found deviations beyond its tolerance, 2 a bad input (`DomainError` or
 `ResourceLimitError`), 3 I/O error.  Every random draw takes an explicit or
 fixed default seed: same arguments, same bytes.
 
-A process pays only for the command it runs.  A command followed by its
-own flags, each as ``--flag=value`` or as ``--flag value`` with no value
-starting with "-", is read straight from that command's rows; any other argv
-(``--help``, a misspelt command, an abbreviated flag, ``--n -1``, ``--``)
-goes to argparse, which is imported only then, builds one parser for every
-command, and writes every help and usage message.  `json` is imported only
-to read a config file, `trajectory` and `sweep` write each row as the walk
-yields its point, and `entry_point` (``python -m capmodel`` and the
-``capmodel`` script) ends the process without the interpreter's final sweep
-over live objects.
+Every command imports the whole package: ``capmodel/__init__.py`` imports
+`oracle` and `figures`, and `_FLAGS` reads their library defaults.  What
+loads only when a command needs it is argparse, json and csv.  A command
+followed by its own flags, each as ``--flag=value`` or as ``--flag value``
+with no value starting with "-", is read straight from that command's rows;
+any other argv (``--help``, a misspelt command, an abbreviated flag,
+``--n -1``, ``--``) goes to argparse, which is imported only then, builds one
+parser for every command, and writes every help and usage message.  `json`
+is imported only to read a config file and `csv` only by `serialize`'s
+readers, since both formats are written without either.  `trajectory` and
+`sweep` write each row as the walk yields its point, and `entry_point`
+(``python -m capmodel`` and the ``capmodel`` script) ends the process
+without the interpreter's final sweep over live objects.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import gc
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import serialize
@@ -49,13 +51,14 @@ from .core import (
     cross_validate,
 )
 from .errors import CapModelError, DomainError
-from .figures import FIGURE_IDS, figure_dataset
+from .figures import _checked_figure_id, figure_dataset
 from .oracle import MODES, validate_expectations
 from .trajectory import (
     _last,
     _sweep,
     _walk,
     find_hump_onset,
+    hump_onsets_nondecreasing,
     sweep_range,
 )
 
@@ -67,12 +70,6 @@ BOTH = "both"
 
 
 # -- normalization ----------------------------------------------------------
-
-
-def _norm_rho(value) -> Fraction:
-    if isinstance(value, float):
-        raise DomainError("floats are inexact; pass a string like '0.5' or a ratio '1/2'")
-    return checked_rho(value)
 
 
 def _norm_range(value):
@@ -128,10 +125,7 @@ def _norm_r_values(value) -> tuple[int, ...]:
 
 
 def _norm_figure_id(value) -> int:
-    figure_id = _norm_int(value)
-    if figure_id not in FIGURE_IDS:
-        raise DomainError(f"must be one of {FIGURE_IDS}, got {figure_id}")
-    return figure_id
+    return _checked_figure_id(_norm_int(value))
 
 
 def _norm_path(value) -> str:
@@ -268,8 +262,9 @@ def _cmd_points(config: RunConfig):
 
 def _cmd_sweep(config: RunConfig):
     trajectories = _sweep(config.rho, list(config.r_values), config.n_max, config.backend)
-    payload = serialize.sweep_json_payload(config.rho, trajectories)
-    message = f"hump onsets nondecreasing in r: {str(payload['hump_onsets_nondecreasing']).lower()}"
+    nondecreasing = hump_onsets_nondecreasing(trajectories)
+    payload = serialize.sweep_json_payload(config.rho, trajectories, nondecreasing)
+    message = f"hump onsets nondecreasing in r: {str(nondecreasing).lower()}"
     return serialize.sweep_rows(trajectories), payload, message, 0
 
 
@@ -295,9 +290,9 @@ def _cmd_oracle(config: RunConfig):
 
 def _cmd_validate(config: RunConfig):
     checks = _cross_checks(config.n_max, config.rho, config.r, config.tol)
-    payload = serialize.validate_json_payload(checks, config.tol)
+    ok = all(check.ok for check in checks)
+    payload = serialize.validate_json_payload(checks, config.tol, ok)
     worst = max(check.max_rel_dev for check in checks)
-    ok = payload["all_ok"]
     message = (f"cross-validated {len(checks)} points: max rel dev {worst:.3e} "
                f"(tol {config.tol:g}): {'OK' if ok else 'FAIL'}")
     return payload["checks"], payload, message, 0 if ok else 1
@@ -329,7 +324,7 @@ _REQUIRED = object()
 #: dashes, and its help gains "(default: ...)" unless the default is None
 #: (worked out later) or _REQUIRED.
 _FLAGS = (
-    ("rho", ("eval", "trajectory", "sweep", "hump", "oracle", "validate"), _norm_rho, _REQUIRED,
+    ("rho", ("eval", "trajectory", "sweep", "hump", "oracle", "validate"), checked_rho, _REQUIRED,
      "viability probability in (0,1], e.g. 0.5 or 1/2"),
     ("r", ("eval", "trajectory", "oracle", "validate"), _norm_range, "unbounded",
      "product range: nonnegative integer or 'unbounded'"),

@@ -41,11 +41,15 @@ class FigureData(NamedTuple):
     markers: Mapping[str, int] = MappingProxyType({})
 
 
-def figure_dataset(figure_id: int, n_max: int | None = None) -> FigureData:
-    """Compute the dataset for one figure; pure and deterministic."""
+def _checked_figure_id(figure_id: int) -> int:
     if type(figure_id) is not int or figure_id not in FIGURE_IDS:
         raise DomainError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
-    rho, ranges, marker_names = _FIGURES[figure_id]
+    return figure_id
+
+
+def figure_dataset(figure_id: int, n_max: int | None = None) -> FigureData:
+    """Compute the dataset for one figure; pure and deterministic."""
+    rho, ranges, marker_names = _FIGURES[_checked_figure_id(figure_id)]
     series, markers = [], {}
     for r, traj in zip(ranges, sweep_range(rho, list(ranges), n_max)):
         series.append(FigureSeries("unconstrained" if r is UNBOUNDED else f"r={r}", r, traj.points))

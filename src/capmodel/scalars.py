@@ -32,9 +32,7 @@ def as_rational(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise DomainError(
-            "floats are inexact here; pass a Fraction, an int, or a string like '0.3'"
-        )
+        raise DomainError("floats are inexact; pass a string like '0.5' or a ratio '1/2'")
     if isinstance(value, str):
         text = value.strip()
         if "e" in text.lower():

@@ -3,7 +3,9 @@
 CLI: any value a flag's normalizer must reject, given as a config key or as
 a flag, exits 2 with one ``error:`` line and nothing on stdout, and in
 process `parse_config` then `run` raise `DomainError` for it.  The flags
-are drawn from ``cli._FLAGS``, so a row added later is covered as well.
+are drawn from ``cli._FLAGS``, so a row added later is covered as well.  A
+value that a library rule rejects reads, after the flag's name, as the
+library words it.
 
 Library: every public function given a bad scalar argument either returns
 or raises `DomainError` / `ResourceLimitError`, never anything else.
@@ -106,6 +108,23 @@ def test_oracle_trials_minimum_is_checked_before_any_output(tmp_path, trials):
     args = ["oracle", "--rho", "1/2", "--n", "3", "--trials", trials, "--out", str(out)]
     assert "trials" in _assert_usage_error(args)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, config, key, library",
+    [
+        (["eval", "--n", "3"], {"rho": 0.5}, "rho", lambda: cm.checked_rho(0.5)),
+        (["figures", "--id", "4"], None, "id", lambda: cm.figure_dataset(4)),
+    ],
+)
+def test_a_rejected_value_reads_as_the_library_words_it(tmp_path, args, config, key, library):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        args = [*args, "--config", str(path)]
+    with pytest.raises(DomainError) as raised:
+        library()
+    assert _assert_usage_error(args) == f"error: {key}: {raised.value}\n"
 
 
 # -- library --------------------------------------------------------------------

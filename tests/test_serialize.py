@@ -1,5 +1,6 @@
 """Formatting and round-trip guarantees of the CSV/JSON writers."""
 
+import ast
 import csv
 import io
 import json
@@ -448,3 +449,22 @@ def test_rows_share_one_key_tuple_and_the_readme_header(table):
     assert _csv_text(build()).splitlines()[0] == header
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert f"\n{header}\n" in readme
+
+
+def test_serialize_imports_no_module_that_decides_a_finding():
+    # serialize renders what it is handed, so of the package it needs only the
+    # value types and the error; an import under TYPE_CHECKING only annotates
+    tree = ast.parse(Path(ser.__file__).read_text(encoding="utf-8"))
+    annotating = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING"
+        for node in ast.walk(stmt)
+    }
+    imported = {
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and id(node) not in annotating
+    }
+    package = {name for name in imported if name.startswith((".", "capmodel"))}
+    assert package <= {".core", ".errors", ".scalars"}
