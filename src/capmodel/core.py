@@ -456,12 +456,24 @@ def classify_stage(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = E
 
 
 def _relative_deviation(exact: Fraction, approx: LogScalar) -> float:
-    """|approx/exact - 1| computed in log space, safe for huge magnitudes."""
+    """|approx/exact - 1| computed in log space, safe for huge magnitudes.
+
+    Where the exact value is a normal double, its log is that of the correctly
+    rounded double; only beyond the double range is it log(numerator) -
+    log(denominator), whose roundings scale with those two logs, not the value.
+    """
     if exact == 0:
         return 0.0 if approx.sign == 0 else math.inf
     if approx.sign <= 0:
         return math.inf
-    log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+    try:
+        value = exact.numerator / exact.denominator
+    except OverflowError:
+        value = math.inf
+    if sys.float_info.min <= value < math.inf:
+        log_exact = math.log(value)
+    else:
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
     return abs(math.expm1(approx.log_abs - log_exact))
 
 

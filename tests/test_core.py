@@ -291,6 +291,13 @@ class TestCrossValidate:
         # rho * n / (1 + rho) is subnormal or 0.0 as a float from k = 320 on
         assert cm.cross_validate(5, Fraction(1, 10**k)).avg_length_rel_dev < 1e-12
 
+    def test_a_normal_double_is_compared_as_its_correctly_rounded_double(self):
+        # the exact avg_length has a 10,005-bit numerator: log(numerator) -
+        # log(denominator) was 6.76e-13 off, though both values round to 40.0
+        check = cm.cross_validate(50, Fraction(1, 10**300), 10)
+        assert float(check.avg_length_exact) == check.avg_length_log.to_float() == 40.0
+        assert check.avg_length_rel_dev == 0.0
+
     @pytest.mark.parametrize("k", [5, 20, 100, 300, 400])
     def test_avg_length_where_the_last_term_dominates(self, k):
         # at rho = 1/10**k the window is nearly all its last term, so
