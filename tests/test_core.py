@@ -292,8 +292,8 @@ class TestCrossValidate:
         assert cm.cross_validate(5, Fraction(1, 10**k)).avg_length_rel_dev < 1e-12
 
     def test_a_normal_double_is_compared_as_its_correctly_rounded_double(self):
-        # the exact avg_length has a 10,005-bit numerator: log(numerator) -
-        # log(denominator) was 6.76e-13 off, though both values round to 40.0
+        # the exact avg_length has a 10,005-bit numerator, and log(numerator) -
+        # log(denominator) is 6.76e-13 off its log, though both values round to 40.0
         check = cm.cross_validate(50, Fraction(1, 10**300), 10)
         assert float(check.avg_length_exact) == check.avg_length_log.to_float() == 40.0
         assert check.avg_length_rel_dev == 0.0
