@@ -342,14 +342,14 @@ def sweep_rows(trajectories) -> Table:
     return Table(("r", *_TRAJECTORY_COLUMNS), rows)
 
 
-def sweep_json_payload(rho: Fraction, trajectories, hump_onsets_nondecreasing: bool) -> dict:
+def sweep_json_payload(rho: Fraction, trajectories, onsets_nondecreasing: bool) -> dict:
     return {
         "rho": fraction_str(rho),
         "trajectories": (
             trajectory_json_payload(traj.params, trajectory_rows(traj.points), traj)
             for traj in trajectories
         ),
-        "hump_onsets_nondecreasing": hump_onsets_nondecreasing,
+        "hump_onsets_nondecreasing": onsets_nondecreasing,
     }
 
 
