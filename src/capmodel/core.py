@@ -314,6 +314,24 @@ def _hump(n: int, r: int, p: int, q: int) -> bool:
     return t < d
 
 
+def _first_hump(lo: int, last: int, r: int, rho: Fraction) -> int | None:
+    """The smallest n in lo..last (lo > r) at which `_hump` holds, or None.
+
+    Theorem: once the hump condition holds it holds for every larger n, so one
+    bisection finds it, and `_points` stages every point from it.  Dividing
+    ``variety(n, r) < C(n, r) * rho**(n - r - 1)`` by its right side gives
+    ``sum_{j=0}^{r} [C(n, j) / C(n, r)] * rho**(r + 1 - j) < 1``, and each ratio
+    ``C(n, j) / C(n, r) = r! (n - r)! / (j! (n - j)!)`` with j < r shrinks as n
+    grows, so the left side never increases.
+    """
+    p, q = rho.numerator, rho.denominator
+    hi = last + 1  # plain ints: bisect over a range overflows past sys.maxsize
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _hump(mid, r, p, q) else (mid + 1, hi)
+    return lo if lo <= last else None
+
+
 def _coprime(num: int, den: int) -> Fraction:
     """``Fraction(num, den)`` without the gcd, for coprime ``num`` and ``den > 0``.
 
@@ -353,8 +371,8 @@ def _points(params: ModelParams, first: int, last: int, onset: int | None = None
     Each point is read off the terms n - 1 and n of one `_exact_terms` or
     `_log_terms` stream, opened at ``max(first - 1, 0)``, and no term past
     ``last`` is drawn; callers check ``last`` with `_check_point` first.  The
-    stage is DEVELOPED from ``onset`` on, the first n at which the hump holds
-    (None if none does up to ``last``), so the walk makes no hump test.
+    stage is DEVELOPED from ``onset`` on, `_first_hump`'s onset (None if the
+    hump holds nowhere up to ``last``): by its theorem the walk makes no hump test.
     """
     r, p, q = params.r, params.rho.numerator, params.rho.denominator
     exact, developed_from = params.backend == EXACT, math.inf if onset is None else onset
@@ -401,12 +419,6 @@ def _point(n: int, params: ModelParams) -> tuple:
     return next(_points(params, n, n))
 
 
-def _hump_at(n: int, params: ModelParams) -> bool:
-    _check_point(n, params._replace(r=UNBOUNDED))  # the hump reads no window sum
-    r, rho = params.r, params.rho
-    return r is not UNBOUNDED and r < n and _hump(n, r, rho.numerator, rho.denominator)
-
-
 def variety(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Scalar:
     """Expected number of viable products for ``n`` capabilities.
 
@@ -445,14 +457,15 @@ def hump_condition(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = E
     closed form divided by its right side: no rounding, no window sum, and a
     cost that does not grow with ``n``.
     """
-    return _hump_at(n, ModelParams(rho, r, backend))
+    return classify_stage(n, rho, r, backend) is Stage.DEVELOPED
 
 
 def classify_stage(n: int, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> Stage:
     """DEVELOPING while r >= n, then TRANSITIONING until the hump, DEVELOPED after."""
     params = ModelParams(rho, r, backend)
-    hump = _hump_at(n, params)
-    return _stage(params.r is not UNBOUNDED and params.r < n, hump)
+    _check_point(n, params._replace(r=UNBOUNDED))  # the hump reads no window sum
+    binds = r is not UNBOUNDED and r < n
+    return _stage(binds, binds and _hump(n, r, *params.rho.as_integer_ratio()))
 
 
 def _relative_deviation(exact: Fraction, approx: LogScalar) -> float:

@@ -5,19 +5,14 @@ walk of the window sums, tagging each point with its stage and recording
 two landmark indices: the first n where the product range binds (always
 r + 1 for bounded r) and the first n where the hump condition holds.
 
-Theorem: once the hump condition holds it holds for every larger n.  Dividing
-the condition ``variety(n, r) < C(n, r) * rho**(n - r - 1)`` by its right side
-gives ``sum_{j=0}^{r} [C(n, j) / C(n, r)] * rho**(r + 1 - j) < 1``, and each
-ratio ``C(n, j) / C(n, r) = r! (n - r)! / (j! (n - j)!)`` with j < r shrinks
-as n grows, so the left side never increases.  So ``non_monotone_flag`` is
-False by the theorem, not by a run-time scan (tier-1 checks that a binding
-point is DEVELOPED exactly where delta < 0); it stays in the result and JSON.
+The hump never reverts (`core._first_hump`'s theorem), so ``non_monotone_flag``
+is False without a run-time scan (tier-1 checks that a binding point is
+DEVELOPED exactly where delta < 0); it stays in the result and JSON.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -31,7 +26,7 @@ from .core import (
     _check_count,
     _check_point,
     _check_range,
-    _hump,
+    _first_hump,
     _points,
     checked_rho,
 )
@@ -107,21 +102,11 @@ def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
     return _collected(_walk(params, 0, _last(params.r, n_max)))
 
 
-def _first_hump(lo: int, last: int, r: int, rho: Fraction) -> int | None:
-    """The smallest n in lo..last (lo > r) at which `core._hump` holds, or None."""
-    p, q = rho.numerator, rho.denominator
-    hi = last + 1  # plain ints: bisect over a range overflows past sys.maxsize
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _hump(mid, r, p, q) else (mid + 1, hi)
-    return lo if lo <= last else None
-
-
 def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     """Smallest n <= n_max where variety declines at the next step, or None.
 
     The condition is defined False for r >= n and never reverts once it holds
-    (see the module docstring), so the onset is bisected in r + 1..n_max with
+    (see `core._first_hump`), so the onset is bisected in r + 1..n_max with
     the exact test `core._hump`, in O(log n_max) tests and no walk.
     """
     if r is UNBOUNDED:

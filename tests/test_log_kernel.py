@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import capmodel as cm
-from capmodel import EXACT, LOGFLOAT, DomainError, ModelParams, ResourceLimitError, core, trajectory
+from capmodel import EXACT, LOGFLOAT, DomainError, ModelParams, ResourceLimitError, core
 from capmodel.cli import main
 from capmodel.trajectory import find_hump_onset, run_trajectory
 
@@ -244,7 +244,7 @@ def test_both_backends_reject_n_past_the_log_limit_before_any_exact_work(monkeyp
         raise AssertionError("exact work before the log bound was checked")
 
     monkeypatch.setattr(core, "_exact_terms", refuse)
-    monkeypatch.setattr(trajectory, "_hump", refuse)
+    monkeypatch.setattr(core, "_hump", refuse)
     n = str(10**301)
     limit = " must be at most 1e+300 on the logfloat backend, got an integer of 1000 bits"
     for args, name in (
@@ -257,8 +257,7 @@ def test_both_backends_reject_n_past_the_log_limit_before_any_exact_work(monkeyp
     with pytest.raises(DomainError) as raised:
         cm.cross_validate(10**301, "1/2", 10)
     assert str(raised.value).startswith("n" + limit)
-    # below the bound, the log point at 2**53 + 1 is refused after its one _hump test
-    monkeypatch.setattr(trajectory, "_hump", core._hump)
+    # below the bound, the log point at 2**53 + 1 is refused too, before its one _hump test
     args = ["eval", "--rho", "1/2", "--r", "10", "--n", str(2**53 + 1), "--backend", "both"]
     assert main(args) == 2
     assert capsys.readouterr() == ("", (

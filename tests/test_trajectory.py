@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import capmodel as cm
-from capmodel import EXACT, LOGFLOAT, ModelParams, Stage, UNBOUNDED, core, trajectory
+from capmodel import EXACT, LOGFLOAT, ModelParams, Stage, UNBOUNDED, core
 from capmodel.cli import main
 
 HALF = Fraction(1, 2)
@@ -76,7 +76,7 @@ class TestRunTrajectory:
         assert traj.points[0].variety == 1
 
     def test_hump_never_reverts_on_a_grid(self):
-        # the theorem in the trajectory docstring: stages come from the bisected
+        # the theorem in core._first_hump's docstring: stages come from the bisected
         # onset, and each binding point is DEVELOPED exactly where its exact delta,
         # read off the walk and not from _hump, is negative
         started = time.perf_counter()
@@ -103,7 +103,6 @@ class TestRunTrajectory:
             return hump(*args)
 
         monkeypatch.setattr(core, "_hump", counting)
-        monkeypatch.setattr(trajectory, "_hump", counting)
         assert cm.run_trajectory(ModelParams("3/4", 400), 1600).hump_onset_at == onset
         assert 0 < len(calls) <= 12  # a test per binding point would make 1,200
         tests = len(calls)
