@@ -145,6 +145,11 @@ def _check_range(r: Range) -> None:
         raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
 
 
+def _check_record(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__} record, got {type(value).__name__}")
+
+
 class _ModelParamsFields(NamedTuple):
     rho: Fraction
     r: Range

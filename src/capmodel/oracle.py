@@ -40,6 +40,7 @@ from .core import (
     _check_count,
     _check_positive,
     _check_range,
+    _check_record,
     _point,
     checked_rho,
 )
@@ -282,6 +283,7 @@ def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int
 
     An empty window has no products; its mean length is defined as 0.
     """
+    _check_record(sample, RecipeBookSample, "sample")
     _check_range(r)
     lo = _window_lo(sample.n, r)
     count = sum(sample.counts_by_length[lo:])

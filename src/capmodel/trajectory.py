@@ -13,6 +13,7 @@ DEVELOPED exactly where delta < 0); it stays in the result and JSON.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ from .core import (
     _check_count,
     _check_point,
     _check_range,
+    _check_record,
     _first_hump,
     _points,
     checked_rho,
@@ -90,6 +92,7 @@ def _collected(walk: Trajectory) -> Trajectory:
 
 def evaluate_point(params: ModelParams, n: int) -> TrajectoryPoint:
     """All per-n quantities for one point; one `_hump` test decides its stage."""
+    _check_record(params, ModelParams, "params")
     return TrajectoryPoint._make(next(_walk(params, n, n, "n").points))
 
 
@@ -99,6 +102,7 @@ def run_trajectory(params: ModelParams, n_max: int | None = None) -> Trajectory:
     Both landmarks come before the walk: the range binds from r + 1 on, and the
     hump holds from `find_hump_onset`'s bisected onset on, by the theorem.
     """
+    _check_record(params, ModelParams, "params")
     return _collected(_walk(params, 0, _last(params.r, n_max)))
 
 
@@ -139,13 +143,16 @@ def sweep_range(
     return [_collected(walk) for walk in _sweep(rho, r_values, n_max, backend)]
 
 
-def hump_onsets_nondecreasing(trajectories: list[Trajectory]) -> bool:
+def hump_onsets_nondecreasing(trajectories: Iterable[Trajectory]) -> bool:
     """Whether hump onsets are nondecreasing in r (a reported finding).
 
     Trajectories are compared in order of product range; an onset that never
     occurs within a trajectory counts as later than any observed one.
     """
+    ordered = list(trajectories) if isinstance(trajectories, Iterable) else None
+    if ordered is None or not all(isinstance(t, Trajectory) for t in ordered):
+        raise DomainError("trajectories must be an iterable of Trajectory records")
     # an unbounded range is wider than any bounded one, so it sorts last
-    ordered = sorted(trajectories, key=lambda t: math.inf if t.params.r is None else t.params.r)
+    ordered.sort(key=lambda t: math.inf if t.params.r is None else t.params.r)
     onsets = [math.inf if t.hump_onset_at is None else t.hump_onset_at for t in ordered]
     return all(a <= b for a, b in pairwise(onsets))

@@ -129,10 +129,10 @@ def test_a_rejected_value_reads_as_the_library_words_it(tmp_path, args, config, 
 
 # -- library --------------------------------------------------------------------
 
-#: Scalar arguments drawn bad; the rest get a small valid value.
+#: Scalar and record arguments drawn bad; the rest get a small valid value.
 SCALARS = {
     "n", "r", "rho", "n_max", "s", "tol", "trials", "base_seed", "index",
-    "r_values", "figure_id", "mode", "backend",
+    "r_values", "figure_id", "mode", "backend", "params", "trajectories", "sample",
 }
 VALID = {
     "n": 4, "r": 2, "rho": "1/2", "n_max": 8, "s": 1, "tol": 1e-9, "trials": 30,
@@ -177,3 +177,26 @@ def test_public_functions_raise_only_domain_errors(target, value):
         function(**kwargs)
     except (DomainError, ResourceLimitError):
         pass
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cm.evaluate_point(None, 5),
+        lambda: cm.run_trajectory(("1/2", 3, "exact")),
+        lambda: cm.hump_onsets_nondecreasing([1, 2]),
+        lambda: cm.hump_onsets_nondecreasing(None),
+        lambda: cm.empirical_stats("abc", 2),
+    ],
+    ids=["evaluate_point", "run_trajectory", "onsets-of-ints", "onsets-of-none", "empirical_stats"],
+)
+def test_a_record_argument_of_another_type_is_a_domain_error(call):
+    # a record's type is checked once, in the public function that takes it
+    with pytest.raises(DomainError, match=r"^(params|trajectories|sample) must be "):
+        call()
+
+
+def test_onsets_take_any_iterable_of_trajectories():
+    trajectories = cm.sweep_range("1/2", [3, 2], n_max=12)
+    assert cm.hump_onsets_nondecreasing(iter(trajectories)) is True
+    assert cm.hump_onsets_nondecreasing(()) is True
