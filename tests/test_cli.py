@@ -125,6 +125,11 @@ class TestParseConfig:
             f"error: {field}: the value must be a positive finite real number, got inf\n"
         )
 
+    def test_non_numeric_tolerance_flag_rejected(self, capsys):
+        args = ["validate", "--rho", "1/2", "--r", "30", "--n-max", "40", "--tol", "abc"]
+        assert run_cli(args) == 2
+        assert capsys.readouterr() == ("", "error: tol: expected a number, got 'abc'\n")
+
     @pytest.mark.parametrize(
         "command, text, key, field",
         [

@@ -308,6 +308,12 @@ class TestCrossValidate:
     def test_large_n(self):
         check = cm.cross_validate(300, Fraction(3, 10), 100, tol=1e-9)
         assert check.ok
+        # 2**1100 is past the double range, so its deviation is taken from the
+        # logs of numerator and denominator; at rho = 1/2 both are past it too,
+        # but their quotient is a double and is compared as one
+        for rho, r in ((1, UNBOUNDED), (HALF, 600)):
+            check = cm.cross_validate(1100, rho, r, tol=1e-9)
+            assert check.ok and check.variety_rel_dev <= 1e-12, (rho, r)
 
     def test_exact_backend_comfortable_at_n_1000(self):
         value = cm.variety(1000, HALF, 300)

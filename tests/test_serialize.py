@@ -468,3 +468,15 @@ def test_serialize_imports_no_module_that_decides_a_finding():
     }
     package = {name for name in imported if name.startswith((".", "capmodel"))}
     assert package <= {".core", ".errors", ".scalars"}
+
+
+def test_no_module_but_core_imports_the_hump_test():
+    # core alone decides the hump: hump_condition, classify_stage and the
+    # bisected onset all call _hump there, so patching core._hump sees every test
+    importers = {
+        path.name
+        for path in Path(ser.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "_hump" for alias in node.names)
+    }
+    assert importers <= {"core.py"}
