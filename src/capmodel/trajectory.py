@@ -143,7 +143,7 @@ def sweep_range(
     return [_collected(walk) for walk in _sweep(rho, r_values, n_max, backend)]
 
 
-def hump_onsets_nondecreasing(trajectories: Iterable[Trajectory]) -> bool:
+def hump_onsets_nondecreasing(trajectories: list[Trajectory]) -> bool:
     """Whether hump onsets are nondecreasing in r (a reported finding).
 
     Trajectories are compared in order of product range; an onset that never

@@ -194,9 +194,3 @@ def test_a_record_argument_of_another_type_is_a_domain_error(call):
     # a record's type is checked once, in the public function that takes it
     with pytest.raises(DomainError, match=r"^(params|trajectories|sample) must be "):
         call()
-
-
-def test_onsets_take_any_iterable_of_trajectories():
-    trajectories = cm.sweep_range("1/2", [3, 2], n_max=12)
-    assert cm.hump_onsets_nondecreasing(iter(trajectories)) is True
-    assert cm.hump_onsets_nondecreasing(()) is True

@@ -197,6 +197,8 @@ class TestSweepRange:
         assert all(o is not None for o in onsets)
         assert onsets == sorted(onsets)
         assert cm.hump_onsets_nondecreasing(trajectories)
+        # any iterable of trajectories, in any order: they are compared in order of r
+        assert cm.hump_onsets_nondecreasing(reversed(trajectories))
 
     def test_no_hump_anywhere_at_rho_one(self):
         trajectories = cm.sweep_range(1, [5], n_max=15)
