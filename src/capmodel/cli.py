@@ -39,10 +39,12 @@ from typing import TYPE_CHECKING
 
 from . import serialize
 from .core import (
+    BACKENDS,
     EXACT,
     LOGFLOAT,
     ModelParams,
     UNBOUNDED,
+    _check_choice,
     _check_count,
     _check_positive,
     _cross_checks,
@@ -51,7 +53,7 @@ from .core import (
     cross_validate,
 )
 from .errors import CapModelError, DomainError
-from .figures import _checked_figure_id, figure_dataset
+from .figures import FIGURE_IDS, figure_dataset
 from .oracle import MODES, validate_expectations
 from .trajectory import (
     _last,
@@ -103,13 +105,8 @@ def _norm_float(value) -> float:
     return value
 
 
-def _one_of(*choices: str):
-    def normalize(value) -> str:
-        if value not in choices:
-            raise DomainError(f"expected one of {', '.join(choices)}; got {value!r}")
-        return value
-
-    return normalize
+def _one_of(name: str, *choices: str):
+    return lambda value: _check_choice(value, choices, name)
 
 
 def _norm_r_values(value) -> tuple[int, ...]:
@@ -122,10 +119,6 @@ def _norm_r_values(value) -> tuple[int, ...]:
     if not parts:
         raise DomainError("must be nonempty")
     return tuple(_norm_int(part) for part in parts)
-
-
-def _norm_figure_id(value) -> int:
-    return _checked_figure_id(_norm_int(value))
 
 
 def _norm_path(value) -> str:
@@ -331,29 +324,30 @@ _FLAGS = (
     ("r", ("hump",), _norm_int, _REQUIRED, "bounded product range"),
     ("n", ("eval", "oracle"), _norm_int, _REQUIRED, "number of capabilities"),
     ("r_values", ("sweep",), _norm_r_values, _REQUIRED, "comma-separated ranges, e.g. 5,10,20,30"),
-    ("id", ("figures",), _norm_figure_id, _REQUIRED, "figure id: 1, 2, or 3"),
+    ("id", ("figures",), lambda value: _check_choice(_norm_int(value), FIGURE_IDS, "figure_id"),
+     _REQUIRED, "figure id: 1, 2, or 3"),
     ("n_max", ("trajectory",), _norm_int, None, "last n (default: max(3r, 50))"),
     ("n_max", ("sweep",), _norm_int, None, "last n (default: max over r of max(3r, 50))"),
     ("n_max", ("hump",), _norm_int, 500, "scan bound"),
     ("n_max", ("validate",), _norm_int, 100, "last n"),
     ("n_max", ("figures",), _norm_int, None, "override the figure's n axis"),
-    ("backend", ("eval", "trajectory"), _one_of(EXACT, LOGFLOAT, BOTH),
+    ("backend", ("eval", "trajectory"), _one_of("backend", *BACKENDS, BOTH),
      _library_default(ModelParams.__new__, "backend"), "exact | logfloat | both"),
-    ("backend", ("sweep",), _one_of(EXACT, LOGFLOAT), _library_default(sweep_range, "backend"),
+    ("backend", ("sweep",), _one_of("backend", *BACKENDS), _library_default(sweep_range, "backend"),
      "exact | logfloat"),
     ("trials", ("oracle",), _norm_int,
      _library_default(validate_expectations, "trials"), "number of sampled books"),
     ("seed", ("oracle",), _norm_int, _library_default(validate_expectations, "base_seed"),
      "base seed"),
-    ("mode", ("oracle",), _one_of(*MODES), _library_default(validate_expectations, "mode"),
+    ("mode", ("oracle",), _one_of("mode", *MODES), _library_default(validate_expectations, "mode"),
      "per-subset | per-length-binomial"),
     ("z_max", ("oracle",), _norm_float, 4.0, "|z| beyond this exits 1"),
     ("tol", ("validate",), _norm_float, _library_default(cross_validate, "tol"),
      "relative tolerance; beyond it exits 1"),
     ("out", tuple(_COMMANDS), _norm_path, None, "output path (default: stdout)"),
-    ("format", ("hump",), _one_of(*FORMATS), "json", "output format: csv | json"),
-    ("format", ("eval", "trajectory", "sweep", "oracle", "validate", "figures"), _one_of(*FORMATS),
-     "csv", "output format: csv | json"),
+    ("format", ("hump",), _one_of("format", *FORMATS), "json", "output format: csv | json"),
+    ("format", ("eval", "trajectory", "sweep", "oracle", "validate", "figures"),
+     _one_of("format", *FORMATS), "csv", "output format: csv | json"),
 )
 
 #: The command, then each config key in table order; None where a command sets none.

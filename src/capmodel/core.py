@@ -145,6 +145,14 @@ def _check_range(r: Range) -> None:
         raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
 
 
+def _check_choice(value, choices: tuple, name: str):
+    """``value`` if it equals one of ``choices`` of the same type (so True is not 1)."""
+    for choice in choices:
+        if type(value) is type(choice) and value == choice:
+            return value
+    raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def _check_record(value, kind: type, name: str) -> None:
     if not isinstance(value, kind):
         raise DomainError(f"{name} must be a {kind.__name__} record, got {type(value).__name__}")
@@ -164,9 +172,7 @@ class ModelParams(_ModelParamsFields):
     def __new__(cls, rho: Rational, r: Range = UNBOUNDED, backend: str = EXACT) -> "ModelParams":
         rho = checked_rho(rho)
         _check_range(r)
-        if backend not in BACKENDS:
-            raise DomainError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        return tuple.__new__(cls, (rho, r, backend))
+        return tuple.__new__(cls, (rho, r, _check_choice(backend, BACKENDS, "backend")))
 
     @classmethod
     def _make(cls, iterable) -> "ModelParams":  # so that _replace checks as well

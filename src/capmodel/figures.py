@@ -14,8 +14,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import Range, UNBOUNDED
-from .errors import DomainError
+from .core import Range, UNBOUNDED, _check_choice
 from .trajectory import TrajectoryPoint, sweep_range
 
 #: figure id -> (rho, product range of each series, marker names for where a
@@ -41,15 +40,9 @@ class FigureData(NamedTuple):
     markers: Mapping[str, int] = MappingProxyType({})
 
 
-def _checked_figure_id(figure_id: int) -> int:
-    if type(figure_id) is not int or figure_id not in FIGURE_IDS:
-        raise DomainError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
-    return figure_id
-
-
 def figure_dataset(figure_id: int, n_max: int | None = None) -> FigureData:
     """Compute the dataset for one figure; pure and deterministic."""
-    rho, ranges, marker_names = _FIGURES[_checked_figure_id(figure_id)]
+    rho, ranges, marker_names = _FIGURES[_check_choice(figure_id, FIGURE_IDS, "figure_id")]
     series, markers = [], {}
     for r, traj in zip(ranges, sweep_range(rho, list(ranges), n_max)):
         series.append(FigureSeries("unconstrained" if r is UNBOUNDED else f"r={r}", r, traj.points))

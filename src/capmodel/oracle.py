@@ -37,6 +37,7 @@ from .core import (
     UNBOUNDED,
     ModelParams,
     Range,
+    _check_choice,
     _check_count,
     _check_positive,
     _check_range,
@@ -59,8 +60,7 @@ PER_LENGTH_MAX_N = 64
 def _check_book(n: int, mode: str) -> None:
     """Check the size and the mode of a sampled recipe book before any draw."""
     _check_count(n)
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_choice(mode, MODES, "mode")
     limit = PER_SUBSET_MAX_N if mode == PER_SUBSET else PER_LENGTH_MAX_N
     if n > limit:
         raise ResourceLimitError(f"{mode} sampling is limited to n <= {limit}, got {n}")

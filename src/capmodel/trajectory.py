@@ -30,7 +30,6 @@ from .core import (
     _check_record,
     _first_hump,
     _points,
-    checked_rho,
 )
 from .errors import DomainError
 from .scalars import Rational
@@ -115,8 +114,7 @@ def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     """
     if r is UNBOUNDED:
         raise DomainError("r must be a bounded nonnegative integer, got UNBOUNDED")
-    rho = checked_rho(rho)
-    _check_range(r)
+    rho = ModelParams(rho, r).rho
     _check_count(n_max, "n_max")
     if n_max < r + 1:
         raise DomainError(f"n_max must be at least r + 1 = {r + 1}, got {n_max!r}")
@@ -127,7 +125,6 @@ def _sweep(rho: Rational, r_values: list[int], n_max: int | None, backend: str) 
     """`sweep_range`, each trajectory's points a one-pass stream (see `_walk`)."""
     if not isinstance(r_values, (list, tuple)) or not r_values:
         raise DomainError(f"r_values must be a nonempty list of ranges, got {r_values!r}")
-    rho = checked_rho(rho)
     if n_max is None:
         n_max = max(default_n_max(r) for r in r_values)
     return [_walk(ModelParams(rho, r, backend), 0, n_max) for r in r_values]
