@@ -95,7 +95,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _shown
 from .scalars import LogScalar, Rational, as_rational
 
 EXACT = "exact"
@@ -126,23 +126,23 @@ def checked_rho(rho: Rational) -> Fraction:
     """Validate and normalize a viability probability into (0, 1]."""
     value = as_rational(rho)
     if not 0 < value.numerator <= value.denominator:
-        raise DomainError(f"rho must lie in (0, 1], got {value}")
+        raise DomainError(f"rho must lie in (0, 1], got {_shown(value, str)}")
     return value
 
 
 def _check_count(n: int, name: str = "n") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
+        raise DomainError(f"{name} must be a nonnegative integer, got {_shown(n)}")
 
 
 def _check_positive(value: float, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise DomainError(f"{name} must be a positive finite real number, got {value!r}")
+        raise DomainError(f"{name} must be a positive finite real number, got {_shown(value)}")
 
 
 def _check_range(r: Range) -> None:
     if r is not UNBOUNDED and (not isinstance(r, int) or isinstance(r, bool) or r < 0):
-        raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {r!r}")
+        raise DomainError(f"r must be a nonnegative integer or UNBOUNDED, got {_shown(r)}")
 
 
 def _check_choice(value, choices: tuple, name: str):
@@ -150,7 +150,7 @@ def _check_choice(value, choices: tuple, name: str):
     for choice in choices:
         if type(value) is type(choice) and value == choice:
             return value
-    raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+    raise DomainError(f"{name} must be one of {choices}, got {_shown(value)}")
 
 
 def _check_record(value, kind: type, name: str) -> None:
@@ -183,7 +183,7 @@ def binomial(n: int, s: int) -> int:
     """C(n, s), with the convention that s outside [0, n] gives 0."""
     _check_count(n)
     if not isinstance(s, int) or isinstance(s, bool):
-        raise DomainError(f"s must be an integer, got {s!r}")
+        raise DomainError(f"s must be an integer, got {_shown(s)}")
     if s < 0 or s > n:
         return 0
     return math.comb(n, s)

@@ -45,7 +45,7 @@ from .core import (
     _point,
     checked_rho,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _shown
 from .scalars import Rational
 
 PER_SUBSET = "per-subset"
@@ -63,7 +63,7 @@ def _check_book(n: int, mode: str) -> None:
     _check_choice(mode, MODES, "mode")
     limit = PER_SUBSET_MAX_N if mode == PER_SUBSET else PER_LENGTH_MAX_N
     if n > limit:
-        raise ResourceLimitError(f"{mode} sampling is limited to n <= {limit}, got {n}")
+        raise ResourceLimitError(f"{mode} sampling is limited to n <= {limit}, got {_shown(n)}")
 
 
 def _window_lo(n: int, r: Range) -> int:
@@ -81,7 +81,7 @@ def enumerate_products(n: int, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
     _check_range(r)
     if n > ENUMERATION_MAX_N:
         raise ResourceLimitError(
-            f"enumeration is limited to n <= {ENUMERATION_MAX_N} (2**n subsets), got {n}"
+            f"enumeration is limited to n <= {ENUMERATION_MAX_N} (2**n subsets), got {_shown(n)}"
         )
     lo = _window_lo(n, r)
     count = 0
@@ -301,7 +301,7 @@ def trial_seed(base_seed: int, index: int) -> int:
     _check_count(base_seed, "seed")
     _check_count(index, "trial index")
     if index >> 64:
-        raise DomainError(f"trial index must be below 2**64, got {index!r}")
+        raise DomainError(f"trial index must be below 2**64, got {_shown(index)}")
     return base_seed << 64 | index
 
 
@@ -360,7 +360,7 @@ def validate_expectations(
     Every argument is checked before the first trial.
     """
     if not isinstance(trials, int) or trials < 30:
-        raise DomainError(f"trials must be an integer >= 30, got {trials!r}")
+        raise DomainError(f"trials must be an integer >= 30, got {_shown(trials)}")
     params = ModelParams(rho, r)
     rho = params.rho
     _check_book(n, mode)

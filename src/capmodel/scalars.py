@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 
 Rational = int | str | Fraction
 
@@ -61,7 +61,7 @@ class LogScalar(_LogScalarFields):
 
     def __new__(cls, sign: int, log_abs: float) -> "LogScalar":
         if sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0, or +1, got {sign!r}")
+            raise DomainError(f"sign must be -1, 0, or +1, got {_shown(sign)}")
         return tuple.__new__(cls, (sign, -math.inf if sign == 0 else log_abs))
 
     @classmethod

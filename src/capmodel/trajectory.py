@@ -31,7 +31,7 @@ from .core import (
     _first_hump,
     _points,
 )
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .scalars import Rational
 
 
@@ -54,7 +54,7 @@ class Trajectory(NamedTuple):
     def point(self, n: int) -> TrajectoryPoint:
         _check_count(n)
         if n >= len(self.points):
-            raise DomainError(f"n must be at most n_max = {len(self.points) - 1}, got {n}")
+            raise DomainError(f"n must be at most n_max = {len(self.points) - 1}, got {_shown(n)}")
         return self.points[n]
 
 
@@ -117,14 +117,14 @@ def find_hump_onset(r: int, rho: Rational, n_max: int) -> int | None:
     rho = ModelParams(rho, r).rho
     _check_count(n_max, "n_max")
     if n_max < r + 1:
-        raise DomainError(f"n_max must be at least r + 1 = {r + 1}, got {n_max!r}")
+        raise DomainError(f"n_max must be at least r + 1 = {_shown(r + 1)}, got {_shown(n_max)}")
     return _first_hump(r + 1, n_max, r, rho)
 
 
 def _sweep(rho: Rational, r_values: list[int], n_max: int | None, backend: str) -> list[Trajectory]:
     """`sweep_range`, each trajectory's points a one-pass stream (see `_walk`)."""
     if not isinstance(r_values, (list, tuple)) or not r_values:
-        raise DomainError(f"r_values must be a nonempty list of ranges, got {r_values!r}")
+        raise DomainError(f"r_values must be a nonempty list of ranges, got {_shown(r_values)}")
     if n_max is None:
         n_max = max(default_n_max(r) for r in r_values)
     return [_walk(ModelParams(rho, r, backend), 0, n_max) for r in r_values]

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -115,6 +116,14 @@ def test_oracle_trials_minimum_is_checked_before_any_output(tmp_path, trials):
     [
         (["eval", "--n", "3"], {"rho": 0.5}, "rho", lambda: cm.checked_rho(0.5)),
         (["figures", "--id", "4"], None, "id", lambda: cm.figure_dataset(4)),
+        (
+            ["oracle", "--n", "3", "--rho", "1/2", "--mode", "bogus"], None, "mode",
+            lambda: cm.validate_expectations(3, "1/2", mode="bogus"),
+        ),
+        (
+            ["sweep", "--rho", "1/2", "--r-values", "2", "--backend", "both"], None, "backend",
+            lambda: cm.sweep_range("1/2", [2], backend="both"),
+        ),
     ],
 )
 def test_a_rejected_value_reads_as_the_library_words_it(tmp_path, args, config, key, library):
@@ -160,6 +169,8 @@ BAD_SCALARS = st.one_of(
     st.text(max_size=4),
     st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
     st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+    # past the digit limit of int-to-str conversion, so its repr raises ValueError
+    st.just(-10**5000),
 )
 
 
@@ -194,3 +205,38 @@ def test_a_record_argument_of_another_type_is_a_domain_error(call):
     # a record's type is checked once, in the public function that takes it
     with pytest.raises(DomainError, match=r"^(params|trajectories|sample) must be "):
         call()
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cm.variety(-HUGE, "1/2"),
+        lambda: ModelParams("1/2", -HUGE),
+        lambda: cm.checked_rho(HUGE),
+        lambda: cm.cross_validate(3, "1/2", 2, -HUGE),
+        lambda: cm.binomial(5, [HUGE]),
+        lambda: cm.run_trajectory(ModelParams("1/2", 2), 5).point(HUGE),
+        lambda: cm.find_hump_onset(HUGE, "1/2", 5),
+        lambda: cm.sweep_range("1/2", {HUGE}),
+        lambda: cm.enumerate_products(HUGE),
+        lambda: cm.sample_recipe_book(3, "1/2", 1, HUGE),
+        lambda: cm.sample_recipe_book(HUGE, "1/2", 1),
+        lambda: cm.trial_seed(0, HUGE),
+        lambda: cm.validate_expectations(3, "1/2", trials=-HUGE),
+        lambda: cm.figure_dataset(HUGE),
+        lambda: cm.LogScalar(HUGE, 0.0),
+    ],
+    ids=[
+        "variety", "ModelParams", "checked_rho", "cross_validate", "binomial", "point",
+        "find_hump_onset", "sweep_range", "enumerate_products", "sample-mode", "sample-n",
+        "trial_seed", "validate_expectations", "figure_dataset", "LogScalar",
+    ],
+)
+def test_an_argument_too_long_to_print_is_still_a_domain_error(call):
+    # the message names the value's type, and an int's sign and bit length
+    with pytest.raises((DomainError, ResourceLimitError)) as raised:
+        call()
+    assert re.search(r"an? (negative )?integer of 16610 bits|got a (list|set|Fraction)$", str(raised.value))
