@@ -6,7 +6,8 @@ Every flag is one row of `_FLAGS`, which builds the parser and `RunConfig`,
 names the keys a ``--config`` JSON file may hold, and normalizes each value.
 Config values are merged below explicit flags; unknown keys are rejected,
 and a key set to null counts as left out.  A rejected value raises
-`DomainError`, from the library's own rule where it has one, and
+`DomainError`, from the library's own rule where it has one (every choice
+flag's from `core._check_choice`, under the library's name for it), and
 `parse_config` is the one place that puts the flag's name on its message;
 only ``hump``'s rule between two flags, ``--n-max`` >= r + 1, names its own.
 `main` maps every error to its exit code: 0 success, 1 a validation command

@@ -480,3 +480,13 @@ def test_no_module_but_core_imports_the_hump_test():
         if isinstance(node, ast.ImportFrom) and any(alias.name == "_hump" for alias in node.names)
     }
     assert importers <= {"core.py"}
+
+
+def test_no_module_but_core_words_the_membership_rule():
+    # backend, mode, figure id and every CLI choice go through core._check_choice
+    wording = {
+        path.name
+        for path in Path(ser.__file__).parent.glob("*.py")
+        if "must be one of" in path.read_text(encoding="utf-8")
+    }
+    assert wording == {"core.py"}
