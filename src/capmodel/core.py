@@ -91,6 +91,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -529,21 +530,20 @@ def cross_validate(n: int, rho: Rational, r: Range = UNBOUNDED, tol: float = 1e-
 
     Report-only: deviations beyond ``tol`` flip ``ok`` but never raise.
     """
-    return _cross_checks(n, rho, r, tol, first=n, name="n")[0]
+    return next(_cross_checks(n, rho, r, tol, first=n, name="n"))
 
 
 def _cross_checks(
     n_max: int, rho: Rational, r: Range, tol: float, first: int = 0, name: str = "n_max"
-) -> list[CrossCheck]:
-    """`cross_validate` at every n = first..n_max, log bound and log point before exact work."""
+) -> Iterator[CrossCheck]:
+    """`cross_validate` at n = first..n_max, drawn lazily, log point first; bounds checked now."""
     _check_positive(tol, "tol")
     params = ModelParams(rho, r, LOGFLOAT)
     _check_point(n_max, params, name)
     logged = _points(params, first, n_max)
     exact = _points(params._replace(backend=EXACT), first, n_max)
-    checks = []
-    for (n, v_log, a_log, *_), (_, v_exact, a_exact, *_) in zip(logged, exact):
-        deviations = _relative_deviation(v_exact, v_log), _relative_deviation(a_exact, a_log)
-        fields = n, r, params.rho, tol, v_exact, v_log, a_exact, a_log, *deviations
-        checks.append(CrossCheck(*fields))
-    return checks
+    return (
+        CrossCheck(n, r, params.rho, tol, v_exact, v_log, a_exact, a_log,
+                   _relative_deviation(v_exact, v_log), _relative_deviation(a_exact, a_log))
+        for (n, v_log, a_log, *_), (_, v_exact, a_exact, *_) in zip(logged, exact)
+    )

@@ -70,12 +70,19 @@ def _window_lo(n: int, r: Range) -> int:
     return 0 if r is UNBOUNDED else max(0, n - r)
 
 
+def _window_stats(counts, lo: int) -> tuple[int, Fraction]:
+    """The products counted by length from ``lo`` up, and their mean length (0 if none)."""
+    count = sum(counts[lo:])
+    total = sum(s * c for s, c in enumerate(counts) if s >= lo)
+    return count, Fraction(total, count or 1)
+
+
 def enumerate_products(n: int, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
     """Count products and their mean length by explicit subset enumeration.
 
-    Every subset of the n capabilities is constructed as a bitmask and kept
-    when its size falls in the allowed window [n - r, n].  Matches the exact
-    backend at rho = 1 by construction, which is what makes it an oracle.
+    Every subset of the n capabilities is constructed as a bitmask and tallied
+    by size; the sizes in the allowed window [n - r, n] are kept.  Matches the
+    exact backend at rho = 1 by construction, which is what makes it an oracle.
     """
     _check_count(n)
     _check_range(r)
@@ -83,16 +90,10 @@ def enumerate_products(n: int, r: Range = UNBOUNDED) -> tuple[int, Fraction]:
         raise ResourceLimitError(
             f"enumeration is limited to n <= {ENUMERATION_MAX_N} (2**n subsets), got {_shown(n)}"
         )
-    lo = _window_lo(n, r)
-    count = 0
-    total_length = 0
+    sizes = [0] * (n + 1)
     for mask in range(1 << n):
-        size = mask.bit_count()
-        if size >= lo:
-            count += 1
-            total_length += size
-    # the full-length product is always in the window, so count >= 1
-    return count, Fraction(total_length, count)
+        sizes[mask.bit_count()] += 1
+    return _window_stats(sizes, _window_lo(n, r))
 
 
 class RecipeBookSample(NamedTuple):
@@ -285,12 +286,7 @@ def empirical_stats(sample: RecipeBookSample, r: Range = UNBOUNDED) -> tuple[int
     """
     _check_record(sample, RecipeBookSample, "sample")
     _check_range(r)
-    lo = _window_lo(sample.n, r)
-    count = sum(sample.counts_by_length[lo:])
-    if count == 0:
-        return 0, Fraction(0)
-    total = sum(s * c for s, c in enumerate(sample.counts_by_length) if s >= lo)
-    return count, Fraction(total, count)
+    return _window_stats(sample.counts_by_length, _window_lo(sample.n, r))
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -372,8 +368,7 @@ def validate_expectations(
             count_sums[s] += c
     # both window sums are linear in the counts, so they are taken once, over all trials
     lo = _window_lo(n, r)
-    variety_sum = sum(count_sums[lo:])
-    length_sum = sum(s * count_sums[s] for s in range(lo, n + 1))
+    variety_sum, pooled_avg = _window_stats(count_sums, lo)
 
     expected_counts = [float(math.comb(n, s) * rho**s) for s in range(n + 1)]
     count_vars = [float(math.comb(n, s)) * v * (1.0 - v) for s, v in enumerate(viability)]
@@ -389,7 +384,7 @@ def validate_expectations(
     emp_var = variety_sum / trials
     z_var = _zscore(emp_var - expected_var, math.sqrt(var_cnt / trials))
 
-    emp_avg = length_sum / variety_sum if variety_sum else 0.0
+    emp_avg = float(pooled_avg)
     # delta-method variance of the pooled ratio sum(lengths)/sum(counts)
     var_len = math.fsum(s * s * count_vars[s] for s in range(lo, n + 1))
     cov = math.fsum(s * count_vars[s] for s in range(lo, n + 1))

@@ -441,12 +441,10 @@ def validate_rows(checks) -> Table:
     return Table(("n", "r", "rho", "variety_rel_dev", "avg_length_rel_dev", "ok"), rows)
 
 
-def validate_json_payload(checks, tol: float, all_ok: bool) -> dict:
-    return {
-        "tol": format_sig12(tol),
-        "checks": validate_rows(checks),
-        "all_ok": all_ok,
-    }
+def validate_json_payload(checks, tol: float) -> dict:
+    """The rows of ``checks``, each rendered as it comes, and ``all_ok`` read off their cells."""
+    table = validate_rows(checks)
+    return {"tol": format_sig12(tol), "checks": table, "all_ok": all(ok for *_, ok in table.rows)}
 
 
 # -- hump ------------------------------------------------------------------
