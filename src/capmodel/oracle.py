@@ -386,9 +386,7 @@ def validate_expectations(
 
     emp_avg = float(pooled_avg)
     # delta-method variance of the pooled ratio sum(lengths)/sum(counts)
-    var_len = math.fsum(s * s * count_vars[s] for s in range(lo, n + 1))
-    cov = math.fsum(s * count_vars[s] for s in range(lo, n + 1))
-    ratio_var = var_len - 2.0 * expected_avg * cov + expected_avg**2 * var_cnt
+    ratio_var = math.fsum((s - expected_avg) ** 2 * count_vars[s] for s in range(lo, n + 1))
     avg_se = math.sqrt(max(ratio_var, 0.0) / trials) / expected_var if expected_var else 0.0
     z_avg = _zscore(emp_avg - expected_avg, avg_se)
 
