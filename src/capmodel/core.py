@@ -127,7 +127,8 @@ def checked_rho(rho: Rational) -> Fraction:
     """Validate and normalize a viability probability into (0, 1]."""
     value = as_rational(rho)
     if not 0 < value.numerator <= value.denominator:
-        raise DomainError(f"rho must lie in (0, 1], got {_shown(value, str)}")
+        shown = _shown(rho if isinstance(rho, int) else value, str)  # an int as the caller gave it
+        raise DomainError(f"rho must lie in (0, 1], got {shown}")
     return value
 
 
