@@ -340,6 +340,25 @@ class TestCommands:
         assert "OK" in capsys.readouterr().out
         assert out.read_text().count("true") == 61
 
+    def test_validate_keeps_rows_not_records(self, tmp_path):
+        # each check, exact fractions included, is dropped once its row is
+        # rendered; held whole, the 1001 checks below peak near 1.2 MiB
+        import tracemalloc
+        from collections.abc import Iterator
+
+        from capmodel import core
+
+        assert isinstance(core._cross_checks(3, "1/2", 2, 1e-9), Iterator)
+        args = ["validate", "--rho", "1/2", "--r", "250", "--n-max", "1000",
+                "--out", str(tmp_path / "validate.csv")]
+        tracemalloc.start()
+        try:
+            assert run_cli(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2**20
+
     def test_validate_walks_each_backend_once(self, tmp_path, monkeypatch):
         from capmodel import core
 
