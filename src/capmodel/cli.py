@@ -25,9 +25,11 @@ any other argv (``--help``, a misspelt command, an abbreviated flag,
 parser for every command, and writes every help and usage message.  `json`
 is imported only to read a config file and `csv` only by `serialize`'s
 readers, since both formats are written without either.  `trajectory` and
-`sweep` write each row as the walk yields its point, and `entry_point`
-(``python -m capmodel`` and the ``capmodel`` script) ends the process
-without the interpreter's final sweep over live objects.
+`sweep` write each row as the walk yields its point; `validate` renders
+every row before `run` opens ``--out`` and holds those rows, not its
+checks; `figures` holds its whole dataset.  `entry_point` (``python -m
+capmodel`` and the ``capmodel`` script) ends the process without the
+interpreter's final sweep over live objects.
 """
 
 from __future__ import annotations
