@@ -537,7 +537,7 @@ def cross_validate(n: int, rho: Rational, r: Range = UNBOUNDED, tol: float = 1e-
 def _cross_checks(
     n_max: int, rho: Rational, r: Range, tol: float, first: int = 0, name: str = "n_max"
 ) -> Iterator[CrossCheck]:
-    """`cross_validate` at n = first..n_max, drawn lazily, log point first; bounds checked now."""
+    """`cross_validate` at n = first..n_max, log point first, drawn lazily after eager checks."""
     _check_positive(tol, "tol")
     params = ModelParams(rho, r, LOGFLOAT)
     _check_point(n_max, params, name)
